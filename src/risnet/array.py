@@ -12,7 +12,9 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as C0
+
+# Speed of light in vacuum, m/s (exact SI value).
+C0 = 299_792_458.0
 
 CELLS_PER_TILE_SIDE = 4
 DEFAULT_PITCH_X = 0.060

@@ -19,6 +19,7 @@ import numpy as np
 from . import array as arr
 from . import gating, loads, metrics, network, touchstone
 from .errors import InputDataError, NumericalError
+from .touchstone import _fmt
 
 N78_BAND = (3.3e9, 3.8e9)
 DEFAULT_F_CENTER = 3.6e9
@@ -26,10 +27,6 @@ DEFAULT_F_CENTER = 3.6e9
 
 class UsageError(Exception):
     """Invocation that cannot be carried out as requested."""
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
 
 
 def _read_text(path: str) -> str:

@@ -9,10 +9,10 @@ because the window compensation is ill-conditioned there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal.windows import tukey
 
 from .errors import GateSpanError, InputDataError, ReferenceLevelError, SweepGridError
 from .touchstone import PortNetwork
@@ -95,6 +95,28 @@ def synth_multipath(paths, frequencies) -> Sweep:
     return Sweep(frequencies=f, values=values)
 
 
+def _tukey(m: int, alpha: float) -> np.ndarray:
+    """Symmetric Tukey window of ``m`` points with taper fraction ``alpha``.
+
+    Follows scipy.signal.windows.tukey operation for operation, so the two
+    are bitwise equal: alpha <= 0 is rectangular and alpha >= 1 is scipy's
+    Hann window.
+    """
+    if m <= 1 or alpha <= 0:
+        return np.ones(m)
+    if alpha >= 1.0:
+        return 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, m))
+    n = np.arange(0, m, dtype=float)
+    width = int(math.floor(alpha * (m - 1) / 2.0))
+    n1 = n[0:width + 1]
+    n2 = n[width + 1:m - width - 1]
+    n3 = n[m - width - 1:]
+    w1 = 0.5 * (1 + np.cos(np.pi * (-1 + 2.0 * n1 / alpha / (m - 1))))
+    w2 = np.ones(n2.shape)
+    w3 = 0.5 * (1 + np.cos(np.pi * (-2.0 / alpha + 1 + 2.0 * n3 / alpha / (m - 1))))
+    return np.concatenate((w1, w2, w3))
+
+
 def time_gate(sweep: Sweep, gate: GateSpec) -> Sweep:
     """Keep only the response inside the gate interval, on the same grid."""
     n = sweep.frequencies.size
@@ -112,7 +134,7 @@ def time_gate(sweep: Sweep, gate: GateSpec) -> Sweep:
     if count == 0:
         raise GateSpanError("gate interval narrower than the time-sample spacing")
     g = np.zeros(m)
-    g[mask] = tukey(count, alpha=gate.window_shape)
+    g[mask] = _tukey(count, gate.window_shape)
     gated = np.fft.fft(h * g)[:n]
     return Sweep(frequencies=sweep.frequencies, values=gated / np.maximum(w, _WINDOW_FLOOR))
 

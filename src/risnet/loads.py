@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as C0
 
-from .errors import ConvergenceError, FrequencyRangeError
+from .array import C0
+from .errors import ConvergenceError, FrequencyRangeError, InputDataError
 from .network import cascade_reflection, two_port_at
 from .touchstone import PortNetwork, ReflectionProfile, parse_touchstone, serialize_touchstone
 
@@ -28,6 +28,10 @@ SP8T_TARGETS_DEG = tuple(45.0 * i for i in range(8))
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _COARSE_POINTS = 64
 _MAX_ITER = 200
+
+# Design JSON field types; _REQUIRED marks a field without a default.
+_NUMBER = (int, float)
+_REQUIRED = object()
 
 
 @dataclass(frozen=True)
@@ -130,27 +134,57 @@ class StubNetworkDesign:
 
     @classmethod
     def from_json(cls, text: str) -> "StubNetworkDesign":
-        doc = json.loads(text)
-        line = MicrostripLine(
-            width=doc["line"]["width_m"],
-            substrate_height=doc["line"]["substrate_height_m"],
-            epsilon_r=doc["line"]["epsilon_r"],
-            loss_db_per_m=doc["line"].get("loss_db_per_m", 0.0),
-            reference_frequency=doc["line"].get("reference_frequency_hz", 3.6e9),
-        )
-        switch = None
-        if doc["switch"] != "ideal":
-            switch = parse_touchstone(doc["switch"]["touchstone"])
-        states = tuple(
-            StubState(
-                state=st["state"],
-                termination=st["termination"],
-                length_m=st["length_m"],
-                residual_deg=st.get("residual_deg"),
+        """Inverse of :meth:`to_json`; a malformed document raises InputDataError."""
+        try:
+            doc = json.loads(text)
+            line_doc = _json_field(doc, "line", dict)
+            line = MicrostripLine(
+                width=_json_field(line_doc, "width_m", _NUMBER, "line"),
+                substrate_height=_json_field(line_doc, "substrate_height_m", _NUMBER, "line"),
+                epsilon_r=_json_field(line_doc, "epsilon_r", _NUMBER, "line"),
+                loss_db_per_m=_json_field(line_doc, "loss_db_per_m", _NUMBER, "line", 0.0),
+                reference_frequency=_json_field(
+                    line_doc, "reference_frequency_hz", _NUMBER, "line", 3.6e9
+                ),
             )
-            for st in doc["states"]
+            switch_doc = _json_field(doc, "switch", (str, dict))
+            switch = None
+            if switch_doc != "ideal":
+                switch = parse_touchstone(_json_field(switch_doc, "touchstone", str, "switch"))
+            states = tuple(
+                StubState(
+                    state=_json_field(st, "state", int, f"states[{i}]"),
+                    termination=_json_field(st, "termination", str, f"states[{i}]"),
+                    length_m=_json_field(st, "length_m", _NUMBER, f"states[{i}]"),
+                    residual_deg=_json_field(
+                        st, "residual_deg", _NUMBER + (type(None),), f"states[{i}]", None
+                    ),
+                )
+                for i, st in enumerate(_json_field(doc, "states", list))
+            )
+            return cls(states=states, line=line, switch=switch)
+        except InputDataError:
+            raise
+        except ValueError as e:
+            raise InputDataError(f"design JSON: {e}") from None
+
+
+def _json_field(node, key: str, kind, parent: str = "", default=_REQUIRED):
+    """``node[key]`` of a design JSON document, checked against the types ``kind``.
+
+    A missing or mistyped field raises InputDataError naming its path.
+    """
+    path = f"{parent}.{key}" if parent else key
+    if not isinstance(node, dict):
+        raise InputDataError(f"design JSON: '{parent or 'document'}' must be an object")
+    value = node.get(key, default)
+    if value is _REQUIRED:
+        raise InputDataError(f"design JSON: missing field '{path}'")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise InputDataError(
+            f"design JSON: field '{path}' has the wrong type ({type(value).__name__})"
         )
-        return cls(states=states, line=line, switch=switch)
+    return value
 
 
 def microstrip_eeff(line: MicrostripLine) -> float:
@@ -219,7 +253,7 @@ def spdt_load_profile(switch: PortNetwork | None, frequencies) -> ReflectionProf
 def sp8t_load_profile(design: StubNetworkDesign, frequencies) -> ReflectionProfile:
     """Eight-state load profile of a stub-bank design."""
     if len(design.states) != 8:
-        raise ValueError(f"need an 8-state design, got {len(design.states)} states")
+        raise InputDataError(f"need an 8-state design, got {len(design.states)} states")
     f = np.asarray(frequencies, dtype=float)
     rows = []
     for st in design.states:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StateCsvError, TouchstoneParseError
+from .errors import InputDataError, StateCsvError, TouchstoneParseError
 
 _FREQ_SCALE = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 _FORMATS = ("ri", "ma", "db")
@@ -43,20 +43,20 @@ class PortNetwork:
         freqs = np.asarray(self.frequencies, dtype=float)
         s = np.asarray(self.s, dtype=complex)
         if self.n_ports < 1:
-            raise ValueError("n_ports must be >= 1")
+            raise InputDataError("n_ports must be >= 1")
         if self.reference_impedance <= 0:
-            raise ValueError("reference impedance must be > 0")
+            raise InputDataError("reference impedance must be > 0")
         if freqs.ndim != 1 or freqs.size < 1:
-            raise ValueError("need at least one frequency point")
+            raise InputDataError("need at least one frequency point")
         if np.any(np.diff(freqs) <= 0):
-            raise ValueError("frequencies must be strictly increasing")
+            raise InputDataError("frequencies must be strictly increasing")
         if s.shape != (freqs.size, self.n_ports, self.n_ports):
-            raise ValueError(
+            raise InputDataError(
                 f"S data shape {s.shape} does not match "
                 f"{freqs.size} points of a {self.n_ports}-port"
             )
         if not np.all(np.isfinite(s.view(float))):
-            raise ValueError("S parameters must be finite")
+            raise InputDataError("S parameters must be finite")
         object.__setattr__(self, "frequencies", freqs)
         object.__setattr__(self, "s", s)
 
@@ -88,19 +88,19 @@ class ReflectionProfile:
         gamma = np.asarray(self.gamma, dtype=complex)
         n = len(states)
         if n < 1 or (n & (n - 1)) != 0:
-            raise ValueError("state count must be a power of two")
+            raise InputDataError("state count must be a power of two")
         if len(set(states)) != n:
-            raise ValueError("duplicate state labels")
+            raise InputDataError("duplicate state labels")
         if list(states) != sorted(states):
-            raise ValueError("states must be sorted ascending")
+            raise InputDataError("states must be sorted ascending")
         if freqs.ndim != 1 or freqs.size < 1:
-            raise ValueError("need at least one frequency point")
+            raise InputDataError("need at least one frequency point")
         if np.any(np.diff(freqs) <= 0):
-            raise ValueError("frequencies must be strictly increasing")
+            raise InputDataError("frequencies must be strictly increasing")
         if gamma.shape != (n, freqs.size):
-            raise ValueError("gamma grid must be states x frequencies")
+            raise InputDataError("gamma grid must be states x frequencies")
         if not np.all(np.isfinite(gamma.view(float))):
-            raise ValueError("gamma entries must be finite")
+            raise InputDataError("gamma entries must be finite")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "frequencies", freqs)
         object.__setattr__(self, "gamma", gamma)

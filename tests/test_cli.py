@@ -5,6 +5,7 @@ import pytest
 
 from risnet import cli
 from risnet.gating import dump_sweep_csv, load_sweep_csv, synth_multipath
+from risnet.loads import MicrostripLine, ideal_sp8t_design
 from risnet.touchstone import load_state_csv
 
 
@@ -56,6 +57,13 @@ def test_parse_malformed_exits_3(tmp_path, capsys):
 
 def test_parse_missing_file_exits_3(tmp_path, capsys):
     assert cli.main(["parse", str(tmp_path / "nope.s2p")]) == 3
+
+
+def test_parse_nan_s_parameters_exits_3(tmp_path, capsys):
+    bad = tmp_path / "bad.s1p"
+    bad.write_text("# Hz S RI R 50\n1e9 nan 0\n2e9 0 0\n", encoding="utf-8")
+    assert cli.main(["parse", str(bad)]) == 3
+    assert "S parameters must be finite" in capsys.readouterr().err
 
 
 def test_profile_ideal_1bit(tmp_path):
@@ -113,6 +121,48 @@ def test_profile_range_mismatch_exits_3(tmp_path, capsys):
 def test_profile_unknown_loads_exits_2(tmp_path):
     s2p = write_thru_s2p(tmp_path / "thru.s2p")
     assert cli.main(["profile", s2p, "--loads", "ideal-5bit"]) == 2
+
+
+def _drop_line(doc):
+    doc["line"] = {}
+
+
+def _string_length(doc):
+    doc["states"][3]["length_m"] = "4e-3"
+
+
+def _drop_switch(doc):
+    del doc["switch"]
+
+
+def _four_states(doc):
+    doc["states"] = doc["states"][:4]
+
+
+@pytest.mark.parametrize("mutate, named", [
+    (_drop_line, "line.width_m"),
+    (_string_length, "states[3].length_m"),
+    (_drop_switch, "switch"),
+    (_four_states, "8-state design"),
+])
+def test_profile_malformed_design_json_exits_3(tmp_path, capsys, mutate, named):
+    doc = json.loads(ideal_sp8t_design(MicrostripLine(1.5e-3, 0.8e-3, 4.9), 3.6e9).to_json())
+    mutate(doc)
+    design = tmp_path / "design.json"
+    design.write_text(json.dumps(doc), encoding="utf-8")
+    s2p = write_thru_s2p(tmp_path / "thru.s2p")
+    assert cli.main(["profile", s2p, "--loads", str(design)]) == 3
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
+
+
+def test_profile_unparsable_design_json_exits_3(tmp_path, capsys):
+    design = tmp_path / "design.json"
+    design.write_text('{"line": ', encoding="utf-8")
+    s2p = write_thru_s2p(tmp_path / "thru.s2p")
+    assert cli.main(["profile", s2p, "--loads", str(design)]) == 3
+    assert "design JSON" in capsys.readouterr().err
 
 
 def test_synth_ideal_design(tmp_path):
@@ -173,6 +223,17 @@ def test_bandwidth_zero_for_100_degree_profile(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "band: none" in out
     assert "bandwidth_hz: 0" in out
+
+
+def test_bandwidth_nan_profile_exits_3(tmp_path, capsys):
+    lines = ["freq_hz,state,mag_db,phase_deg"]
+    for f in (3.3e9, 3.8e9):
+        lines.append(f"{f:.12g},0,0,0")
+        lines.append(f"{f:.12g},1,nan,180")
+    p = tmp_path / "p.csv"
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert cli.main(["bandwidth", str(p)]) == 3
+    assert "gamma entries must be finite" in capsys.readouterr().err
 
 
 def test_bandwidth_virtual_2bit(tmp_path, capsys):

@@ -5,6 +5,7 @@ from risnet.errors import GateSpanError, ReferenceLevelError, SweepGridError
 from risnet.gating import (
     GateSpec,
     Sweep,
+    _tukey,
     dump_sweep_csv,
     load_sweep_csv,
     low_confidence_edges,
@@ -201,3 +202,10 @@ def test_sweep_network_roundtrip():
     assert net.n_ports == 1
     back = sweep_from_network(net)
     np.testing.assert_allclose(back.values, sweep.values, rtol=1e-12)
+
+
+def test_tukey_matches_scipy_bitwise():
+    tukey = pytest.importorskip("scipy.signal.windows").tukey
+    for alpha in np.concatenate(([0.0, 1.0], np.linspace(0.0, 1.0, 41))):
+        for m in range(601):
+            assert np.array_equal(_tukey(m, alpha), tukey(m, alpha)), (m, alpha)
