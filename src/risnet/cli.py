@@ -151,8 +151,10 @@ def cmd_profile(args) -> int:
     f_center = args.f_center_hz
     load_profile = _load_profile_source(args, freqs, f_center)
     profile = network.profile_from_network(unit_cell, load_profile)
+    # A file source is named by its basename (the ideal-* names are their own),
+    # so the output does not depend on the path used to reach the same file.
     comments = _stamp_comments(args) + (
-        f"surface reflection profile, loads={args.loads}",
+        f"surface reflection profile, loads={Path(args.loads).name}",
     )
     _write_output(touchstone.dump_state_csv(profile, comments=comments), args.out)
     return 0

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GateSpanError, InputDataError, ReferenceLevelError, SweepGridError
-from .touchstone import PortNetwork
+from .touchstone import PortNetwork, _csv_rows
 
 # Zero-padding factor applied before the time-domain transform.
 _PAD_FACTOR = 4
@@ -181,32 +181,20 @@ def sweep_to_network(sweep: Sweep, reference_impedance: float = 50.0) -> PortNet
     )
 
 
+def _sweep_csv_error(message: str, line_no: int) -> SweepGridError:
+    return SweepGridError(f"line {line_no}: {message}")
+
+
 def load_sweep_csv(text: str) -> Sweep:
     """Read a sweep from CSV with header ``freq_hz,re,im`` (# comments ignored)."""
-    header_seen = False
     freqs = []
     values = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not header_seen:
-            if [f.strip() for f in line.split(",")] != SWEEP_CSV_HEADER.split(","):
-                raise SweepGridError(
-                    f"line {line_no}: expected header '{SWEEP_CSV_HEADER}', got '{line}'"
-                )
-            header_seen = True
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) != 3:
-            raise SweepGridError(f"line {line_no}: expected 3 fields, got {len(fields)}")
+    for line_no, fields in _csv_rows(text, SWEEP_CSV_HEADER, _sweep_csv_error):
         try:
             freqs.append(float(fields[0]))
             values.append(float(fields[1]) + 1j * float(fields[2]))
         except ValueError:
-            raise SweepGridError(f"line {line_no}: non-numeric field in '{line}'") from None
-    if not header_seen:
-        raise SweepGridError("missing header line")
+            raise _sweep_csv_error(f"non-numeric field in '{','.join(fields)}'", line_no) from None
     return Sweep(frequencies=np.array(freqs), values=np.array(values))
 
 

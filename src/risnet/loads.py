@@ -17,7 +17,7 @@ import numpy as np
 
 from .array import C0
 from .errors import ConvergenceError, FrequencyRangeError, InputDataError
-from .network import cascade_reflection, two_port_at
+from .network import cascade, interp_s
 from .touchstone import PortNetwork, ReflectionProfile, parse_touchstone, serialize_touchstone
 
 TERMINATIONS = ("open", "short")
@@ -202,15 +202,16 @@ def guided_wavelength(line: MicrostripLine, f: float) -> float:
     return C0 / (f * math.sqrt(microstrip_eeff(line)))
 
 
-def stub_reflection(length: float, termination: str, f, line: MicrostripLine):
+def stub_reflection(length, termination: str, f, line: MicrostripLine):
     """Reflection looking into an open/short stub of ``length`` metres at ``f``.
 
     Lossless phase is exp(-j*2*beta*l), negated for a short; magnitude decays
-    with the round-trip line loss. ``f`` may be a scalar or an array.
+    with the round-trip line loss. ``length`` and ``f`` may be scalars or
+    arrays that broadcast together.
     """
     if termination not in TERMINATIONS:
         raise ValueError(f"termination must be one of {TERMINATIONS}")
-    if length < 0:
+    if np.any(np.asarray(length) < 0):
         raise ValueError("stub length must be >= 0")
     f = np.asarray(f, dtype=float)
     beta = 2.0 * np.pi * f * math.sqrt(microstrip_eeff(line)) / C0
@@ -221,16 +222,12 @@ def stub_reflection(length: float, termination: str, f, line: MicrostripLine):
     return out if out.ndim else complex(out)
 
 
-def _terminated_gamma(switch: PortNetwork | None, gamma_term, frequencies: np.ndarray):
-    """Per-frequency load seen through the switch path (identity if ideal)."""
-    gamma_term = np.broadcast_to(np.asarray(gamma_term, dtype=complex), frequencies.shape)
+def _terminated_gamma(switch: PortNetwork | None, gamma_term: np.ndarray, f: np.ndarray):
+    """Loads (states x frequencies) seen through the switch path (identity if ideal)."""
     if switch is None:
-        return np.array(gamma_term)
-    return np.array(
-        [
-            cascade_reflection(two_port_at(switch, f), g)
-            for f, g in zip(frequencies, gamma_term)
-        ]
+        return gamma_term
+    return cascade(
+        interp_s(switch, f), gamma_term, lambda ik: f"state {ik[0]} at {f[ik[1]]} Hz"
     )
 
 
@@ -241,13 +238,8 @@ def spdt_load_profile(switch: PortNetwork | None, frequencies) -> ReflectionProf
     switch network cascades the open/ground terminations through its 2-port.
     """
     f = np.asarray(frequencies, dtype=float)
-    gamma = np.vstack(
-        [
-            _terminated_gamma(switch, 1.0, f),
-            _terminated_gamma(switch, -1.0, f),
-        ]
-    )
-    return ReflectionProfile(states=(0, 1), frequencies=f, gamma=gamma)
+    term = np.outer([1.0, -1.0], np.ones(f.shape)).astype(complex)
+    return ReflectionProfile(states=(0, 1), frequencies=f, gamma=_terminated_gamma(switch, term, f))
 
 
 def sp8t_load_profile(design: StubNetworkDesign, frequencies) -> ReflectionProfile:
@@ -255,11 +247,12 @@ def sp8t_load_profile(design: StubNetworkDesign, frequencies) -> ReflectionProfi
     if len(design.states) != 8:
         raise InputDataError(f"need an 8-state design, got {len(design.states)} states")
     f = np.asarray(frequencies, dtype=float)
-    rows = []
-    for st in design.states:
-        term = stub_reflection(st.length_m, st.termination, f, design.line)
-        rows.append(_terminated_gamma(design.switch, term, f))
-    return ReflectionProfile(states=tuple(range(8)), frequencies=f, gamma=np.vstack(rows))
+    term = np.array(
+        [stub_reflection(st.length_m, st.termination, f, design.line) for st in design.states]
+    )
+    return ReflectionProfile(
+        states=tuple(range(8)), frequencies=f, gamma=_terminated_gamma(design.switch, term, f)
+    )
 
 
 def _lossless_solution_deg(target_deg: float) -> tuple:
@@ -364,36 +357,37 @@ def synthesize_stub_lengths(
             raise ValueError("weights must be non-negative with a positive sum")
     w = w / np.sum(w)
 
-    grid_points = None if switch is None else [two_port_at(switch, f) for f in grid]
-    center_points = None if switch is None else [two_port_at(switch, f_center)]
+    s_grid = None if switch is None else interp_s(switch, grid)
+    s_center = None if switch is None else interp_s(switch, np.array([f_center]))
 
-    def realized_phase_deg(length: float, term: str, freqs, points) -> np.ndarray:
-        g = np.atleast_1d(stub_reflection(length, term, freqs, line))
-        if points is not None:
-            g = np.array([cascade_reflection(p, gi) for p, gi in zip(points, g)])
+    def realized_phase_deg(lengths, term: str, freqs, s, state: int) -> np.ndarray:
+        """Phases (lengths x freqs) of one state's stub behind the switch."""
+        g = stub_reflection(np.reshape(lengths, (-1, 1)), term, freqs, line)
+        if s is not None:
+            g = cascade(s, g, lambda jk: f"state {state} at {freqs[jk[1]]} Hz")
         return np.angle(g, deg=True)
 
     period = guided_wavelength(line, f_center) / 2.0
     tol = period * 1e-9
+    coarse = np.linspace(0.0, period, _COARSE_POINTS, endpoint=False)
     states = []
     for i, target in enumerate(SP8T_TARGETS_DEG):
         term, _ = _lossless_solution_deg(target)
 
-        def objective(length, _term=term, _target=target):
-            err = _wrap180(realized_phase_deg(length, _term, grid, grid_points) - _target)
-            return float(np.sum(w * err**2))
+        def objective(lengths, _term=term, _target=target, _state=i):
+            err = _wrap180(realized_phase_deg(lengths, _term, grid, s_grid, _state) - _target)
+            return np.sum(w * err**2, axis=1)
 
-        coarse = np.linspace(0.0, period, _COARSE_POINTS, endpoint=False)
-        values = [objective(x) for x in coarse]
-        if not all(np.isfinite(values)):
+        values = objective(coarse)
+        if not np.all(np.isfinite(values)):
             raise ConvergenceError(
                 f"non-finite synthesis objective for state {i} (pathological switch data)"
             )
         k = int(np.argmin(values))
         a = coarse[k - 1] if k > 0 else 0.0
         b = coarse[k + 1] if k + 1 < _COARSE_POINTS else period
-        length = _golden_section(objective, a, b, tol)
-        phase_at_center = realized_phase_deg(length, term, np.array([f_center]), center_points)
-        residual = abs(float(_wrap180(phase_at_center - target)[0]))
+        length = _golden_section(lambda x: float(objective(x)[0]), a, b, tol)
+        phase_at_center = realized_phase_deg(length, term, np.array([f_center]), s_center, i)
+        residual = abs(float(_wrap180(phase_at_center - target)[0, 0]))
         states.append(StubState(state=i, termination=term, length_m=length, residual_deg=residual))
     return StubNetworkDesign(states=tuple(states), line=line, switch=switch)

@@ -145,12 +145,44 @@ def select_states(profile: ReflectionProfile, indices) -> ReflectionProfile:
 
 
 def _sigma_per_frequency(profile: ReflectionProfile) -> np.ndarray:
-    phases = np.angle(profile.gamma, deg=True)
-    return np.array([sigma_phase(circular_gaps(phases[:, k])) for k in range(phases.shape[1])])
+    """``sigma_phase(circular_gaps(.))`` of the state phases at every frequency.
+
+    Rows are frequencies, so each sort, difference and sum runs along a
+    contiguous row in the same order as the one-column functions.
+    """
+    s = np.ascontiguousarray(np.angle(profile.gamma, deg=True).T)
+    np.mod(s, 360.0, out=s)
+    s.sort(axis=1)
+    gaps = np.empty_like(s)
+    np.subtract(s[:, 1:], s[:, :-1], out=gaps[:, :-1])
+    gaps[:, -1] = 360.0 - s[:, -1] + s[:, 0]
+    gaps **= 3
+    return np.sqrt(np.sum(gaps, axis=1) / (12.0 * 360.0))
 
 
-def _crossing(f0, s0, f1, s1, threshold):
-    return f0 + (s0 - threshold) * (f1 - f0) / (s0 - s1)
+def _crossing(f, sigma, k: int, threshold: float) -> float:
+    """Frequency where sigma crosses ``threshold`` between grid points k and k+1."""
+    return float(f[k] + (sigma[k] - threshold) * (f[k + 1] - f[k]) / (sigma[k] - sigma[k + 1]))
+
+
+def _passing_band(f, sigma, threshold: float, f_center: float):
+    """(f_low, f_high) of the contiguous run around ``f_center`` where sigma passes.
+
+    None when sigma, interpolated at ``f_center``, exceeds ``threshold``.
+    The run spans the grid points between the last failing point at or
+    below ``f_center`` and the first failing point at or above it; each
+    edge is interpolated in the interval where sigma crosses over.
+    """
+    if float(np.interp(f_center, f, sigma)) > threshold:
+        return None
+    fails = sigma > threshold
+    below = np.flatnonzero(fails[: np.searchsorted(f, f_center, side="right")])
+    at_or_above = int(np.searchsorted(f, f_center, side="left"))
+    above = np.flatnonzero(fails[at_or_above:])
+    f_low = float(f[0]) if below.size == 0 else _crossing(f, sigma, below[-1], threshold)
+    if above.size == 0:
+        return f_low, float(f[-1])
+    return f_low, _crossing(f, sigma, at_or_above + above[0] - 1, threshold)
 
 
 def bandwidth(profile: ReflectionProfile, resolution_bits: int, f_center: float) -> BandwidthReport:
@@ -175,39 +207,8 @@ def bandwidth(profile: ReflectionProfile, resolution_bits: int, f_center: float)
     nbit = np.log2(360.0 / (np.sqrt(12.0) * sigma))
     min_mag_db = 20.0 * np.log10(np.maximum(np.min(np.abs(profile.gamma), axis=0), 1e-30))
 
-    sigma_center = float(np.interp(f_center, f, sigma))
-    if sigma_center > threshold:
-        band = None
-        bw = 0.0
-    else:
-        j0 = int(np.searchsorted(f, f_center, side="right") - 1)
-        j0 = min(max(j0, 0), f.size - 1)
-        # walk left from the last grid point at or below f_center
-        j = j0
-        if sigma[j] > threshold:
-            # crossing lies between f[j] and f_center inside this interval
-            f_low = _crossing(f[j], sigma[j], f[j + 1], sigma[j + 1], threshold)
-        else:
-            while j > 0 and sigma[j - 1] <= threshold:
-                j -= 1
-            if j == 0:
-                f_low = float(f[0])
-            else:
-                f_low = float(_crossing(f[j - 1], sigma[j - 1], f[j], sigma[j], threshold))
-        # walk right from the first grid point at or above f_center
-        j = int(np.searchsorted(f, f_center, side="left"))
-        j = min(max(j, 0), f.size - 1)
-        if sigma[j] > threshold:
-            f_high = _crossing(f[j - 1], sigma[j - 1], f[j], sigma[j], threshold)
-        else:
-            while j < f.size - 1 and sigma[j + 1] <= threshold:
-                j += 1
-            if j == f.size - 1:
-                f_high = float(f[-1])
-            else:
-                f_high = float(_crossing(f[j], sigma[j], f[j + 1], sigma[j + 1], threshold))
-        band = (float(f_low), float(f_high))
-        bw = float(f_high - f_low)
+    band = _passing_band(f, sigma, threshold, f_center)
+    bw = 0.0 if band is None else band[1] - band[0]
     return BandwidthReport(
         frequencies=f,
         sigma_deg=sigma,

@@ -9,11 +9,12 @@ grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputDataError, StateCsvError, TouchstoneParseError
+from .errors import FrequencyRangeError, InputDataError, StateCsvError, TouchstoneParseError
 
 _FREQ_SCALE = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 _FORMATS = ("ri", "ma", "db")
@@ -22,6 +23,9 @@ STATE_CSV_HEADER = "freq_hz,state,mag_db,phase_deg"
 
 # Magnitude floor used when writing exact zeros in dB-based formats.
 _DB_FLOOR = -600.0
+
+# State labels are read through a float table; this bound keeps them exact.
+_MAX_STATE = 2**31
 
 
 @dataclass(frozen=True)
@@ -111,16 +115,29 @@ class ReflectionProfile:
 
     def at_frequency(self, f: float) -> np.ndarray:
         """Per-state gamma at ``f``, linear on real/imag parts, no extrapolation."""
-        from .errors import FrequencyRangeError
-
         if not (self.frequencies[0] <= f <= self.frequencies[-1]):
             raise FrequencyRangeError(
                 f"frequency {f} Hz outside profile sweep "
                 f"[{self.frequencies[0]}, {self.frequencies[-1]}] Hz"
             )
-        re = np.array([np.interp(f, self.frequencies, g.real) for g in self.gamma])
-        im = np.array([np.interp(f, self.frequencies, g.imag) for g in self.gamma])
-        return re + 1j * im
+        return _interp_complex(self.frequencies, self.gamma.T, f)
+
+
+def _interp_complex(src_f: np.ndarray, src_v: np.ndarray, f) -> np.ndarray:
+    """Complex samples ``src_v`` (frequency on axis 0) interpolated at ``f``.
+
+    Linear on real and imaginary parts, exactly as ``np.interp`` per entry;
+    the result has shape ``np.shape(f) + src_v.shape[1:]``. The loop runs
+    over the trailing entries (S-matrix elements or states), never over
+    frequencies. Range checks are the caller's.
+    """
+    cols = src_v.reshape(src_v.shape[0], -1)
+    out = np.empty(np.shape(f) + cols.shape[1:], dtype=complex)
+    for c in range(cols.shape[1]):
+        out[..., c] = np.interp(f, src_f, cols[:, c].real) + 1j * np.interp(
+            f, src_f, cols[:, c].imag
+        )
+    return out.reshape(np.shape(f) + src_v.shape[1:])
 
 
 def _parse_option_line(line: str, line_no: int):
@@ -316,11 +333,39 @@ def serialize_touchstone(net: PortNetwork, format: str = "RI", freq_unit: str = 
     return "\n".join(lines) + "\n"
 
 
-def _state_csv_fields(line: str, line_no: int) -> list:
-    fields = [f.strip() for f in line.split(",")]
-    if len(fields) != 4:
-        raise StateCsvError(f"expected 4 comma-separated fields, got {len(fields)}", line_no)
-    return fields
+def _csv_rows(text: str, header: str, error):
+    """Yield ``(line_no, fields)`` for each data row of a headed CSV text.
+
+    Blank lines and ``#`` comment lines are skipped. The first other line
+    must equal ``header`` (fields compared after stripping); every later
+    line is split on commas into stripped fields and must have as many
+    fields as the header. Violations raise ``error(message, line_no)``.
+    """
+    names = header.split(",")
+    header_seen = False
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        if not header_seen:
+            if fields != names:
+                raise error(f"expected header '{header}', got '{line}'", line_no)
+            header_seen = True
+            continue
+        if len(fields) != len(names):
+            raise error(
+                f"expected {len(names)} comma-separated fields, got {len(fields)}", line_no
+            )
+        yield line_no, fields
+    if not header_seen:
+        raise error("missing header line", 1)
+
+
+def _sorted_unique(x: np.ndarray) -> np.ndarray:
+    """``np.unique`` without its first-call import of ``numpy.ma`` (about 1 MB)."""
+    s = np.sort(x)
+    return s[np.concatenate(([True], s[1:] != s[:-1]))]
 
 
 def load_state_csv(text: str) -> ReflectionProfile:
@@ -330,66 +375,72 @@ def load_state_csv(text: str) -> ReflectionProfile:
     are ignored. Rows must cover the complete state-by-frequency grid with
     no duplicates. Gamma is reconstructed as 10^(mag_db/20) * exp(j*phase).
     """
-    header_seen = False
-    cells = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not header_seen:
-            if [f.strip() for f in line.split(",")] != STATE_CSV_HEADER.split(","):
-                raise StateCsvError(
-                    f"expected header '{STATE_CSV_HEADER}', got '{line}'", line_no
-                )
-            header_seen = True
-            continue
-        f_s, state_s, mag_s, phase_s = _state_csv_fields(line, line_no)
+    rows = []
+    for line_no, fields in _csv_rows(text, STATE_CSV_HEADER, StateCsvError):
         try:
-            f_hz = float(f_s)
-            state = int(state_s)
-            mag_db = float(mag_s)
-            phase_deg = float(phase_s)
+            f_hz, mag_db, phase_deg = float(fields[0]), float(fields[2]), float(fields[3])
+            state = int(fields[1])
         except ValueError:
-            raise StateCsvError(f"non-numeric field in '{line}'", line_no) from None
+            raise StateCsvError(f"non-numeric field in '{','.join(fields)}'", line_no) from None
         if state < 0:
             raise StateCsvError(f"negative state index {state}", line_no)
-        key = (state, f_hz)
-        if key in cells:
-            raise StateCsvError(f"duplicate row for state {state} at {f_hz} Hz", line_no)
-        cells[key] = 10.0 ** (mag_db / 20.0) * np.exp(1j * np.deg2rad(phase_deg))
-    if not header_seen:
-        raise StateCsvError("missing header line", 1)
-    if not cells:
+        if state >= _MAX_STATE:
+            raise StateCsvError(f"state index {state} out of range", line_no)
+        if not math.isfinite(f_hz):
+            raise StateCsvError(f"non-finite frequency {fields[0]}", line_no)
+        rows.extend((f_hz, state, mag_db, phase_deg))
+    if not rows:
         raise StateCsvError("no data rows", 1)
 
-    states = sorted({k[0] for k in cells})
-    freqs = sorted({k[1] for k in cells})
-    missing = [(s, f) for s in states for f in freqs if (s, f) not in cells]
-    if missing:
-        s, f = missing[0]
+    table = np.array(rows).reshape(-1, 4)
+    # The row floats are the largest allocation here; release them before
+    # the array work so the two peaks do not add up.
+    del rows
+    freqs = _sorted_unique(table[:, 0])
+    states = _sorted_unique(table[:, 1])
+    k = np.searchsorted(freqs, table[:, 0])
+    i = np.searchsorted(states, table[:, 1])
+    cell = i * freqs.size + k
+    order = np.argsort(cell, kind="stable")
+    repeats = order[1:][cell[order[1:]] == cell[order[:-1]]]
+    if repeats.size:
+        r = int(repeats.min())
+        line_no = [n for n, _ in _csv_rows(text, STATE_CSV_HEADER, StateCsvError)][r]
+        raise StateCsvError(
+            f"duplicate row for state {int(table[r, 1])} at {table[r, 0]} Hz", line_no
+        )
+    if cell.size != states.size * freqs.size:
+        filled = np.zeros(states.size * freqs.size, dtype=bool)
+        filled[cell] = True
+        missing = np.flatnonzero(~filled)
+        s, f = int(states[missing[0] // freqs.size]), freqs[missing[0] % freqs.size]
         raise StateCsvError(
             f"incomplete grid: missing state {s} at {f} Hz "
-            f"({len(missing)} missing pairs in total)"
+            f"({missing.size} missing pairs in total)"
         )
-    n = len(states)
+    n = states.size
     if n & (n - 1):
         raise StateCsvError(f"state count {n} is not a power of two")
-    gamma = np.empty((n, len(freqs)), dtype=complex)
-    for i, s in enumerate(states):
-        for k, f in enumerate(freqs):
-            gamma[i, k] = cells[(s, f)]
-    return ReflectionProfile(states=tuple(states), frequencies=np.array(freqs), gamma=gamma)
+    gamma = np.empty((n, freqs.size), dtype=complex)
+    # float_power rounds exactly like the scalar **; np.power can differ in the last bit.
+    gamma[i, k] = np.float_power(10.0, table[:, 2] / 20.0) * np.exp(1j * np.deg2rad(table[:, 3]))
+    return ReflectionProfile(states=tuple(int(s) for s in states), frequencies=freqs, gamma=gamma)
 
 
 def dump_state_csv(profile: ReflectionProfile, comments: tuple = ()) -> str:
     """Render a profile as state CSV text (inverse of :func:`load_state_csv`)."""
+    f_text = [_fmt(f_hz) for f_hz in profile.frequencies.tolist()]
     lines = [f"# {c}" for c in comments]
     lines.append(STATE_CSV_HEADER)
-    for i, state in enumerate(profile.states):
-        for k, f_hz in enumerate(profile.frequencies):
-            g = profile.gamma[i, k]
-            mag = abs(g)
-            mag_db = 20.0 * np.log10(mag) if mag > 0 else _DB_FLOOR
-            phase = float(np.angle(g, deg=True)) if mag > 0 else 0.0
-            lines.append(f"{_fmt(f_hz)},{state},{_fmt(mag_db)},{_fmt(phase)}")
+    for state, g in zip(profile.states, profile.gamma):
+        # hypot rounds exactly like the scalar abs(); np.abs can differ in the last bit
+        mag = np.hypot(g.real, g.imag)
+        live = mag > 0
+        with np.errstate(divide="ignore"):
+            mag_db = np.where(live, 20.0 * np.log10(mag), _DB_FLOOR)
+        phase = np.where(live, np.angle(g, deg=True), 0.0)
+        lines.extend(
+            f"{f_s},{state},{_fmt(m)},{_fmt(a)}"
+            for f_s, m, a in zip(f_text, mag_db.tolist(), phase.tolist())
+        )
     return "\n".join(lines) + "\n"

@@ -5,8 +5,8 @@ import pytest
 
 from risnet import cli
 from risnet.gating import dump_sweep_csv, load_sweep_csv, synth_multipath
-from risnet.loads import MicrostripLine, ideal_sp8t_design
-from risnet.touchstone import load_state_csv
+from risnet.loads import MicrostripLine, StubNetworkDesign, StubState, ideal_sp8t_design
+from risnet.touchstone import PortNetwork, load_state_csv
 
 
 def write_thru_s2p(path, f_lo=3.0e9, f_hi=4.2e9, n=13):
@@ -121,6 +121,43 @@ def test_profile_range_mismatch_exits_3(tmp_path, capsys):
 def test_profile_unknown_loads_exits_2(tmp_path):
     s2p = write_thru_s2p(tmp_path / "thru.s2p")
     assert cli.main(["profile", s2p, "--loads", "ideal-5bit"]) == 2
+
+
+def test_profile_output_independent_of_design_path(tmp_path):
+    s2p = write_thru_s2p(tmp_path / "thru.s2p")
+    text = ideal_sp8t_design(MicrostripLine(1.5e-3, 0.8e-3, 4.9), 3.6e9).to_json()
+    outputs = []
+    for sub in ("a", "b/c"):
+        folder = tmp_path / sub
+        folder.mkdir(parents=True)
+        (folder / "design.json").write_text(text, encoding="utf-8")
+        out = folder / "profile.csv"
+        assert cli.main(["profile", s2p, "--loads", str(folder / "design.json"),
+                         "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert b"loads=design.json\n" in outputs[0]
+
+
+def test_profile_resonant_switch_exits_4(tmp_path, capsys):
+    freqs = np.array([3.0e9, 4.2e9])
+    s = np.zeros((2, 2, 2), complex)
+    s[:, 0, 1] = s[:, 1, 0] = 0.5
+    s[:, 1, 1] = -1.0
+    states = tuple(
+        StubState(state=i, termination="open" if i < 4 else "short",
+                  length_m=0.0 if i == 5 else 5e-3)
+        for i in range(8)
+    )
+    design = StubNetworkDesign(states=states, line=MicrostripLine(1.5e-3, 0.8e-3, 4.9),
+                               switch=PortNetwork(2, 50.0, freqs, s))
+    path = tmp_path / "design.json"
+    path.write_text(design.to_json(), encoding="utf-8")
+    s2p = write_thru_s2p(tmp_path / "thru.s2p")
+    assert cli.main(["profile", s2p, "--loads", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert "state 5 at 3000000000.0 Hz" in err
+    assert "Traceback" not in err
 
 
 def _drop_line(doc):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.constants import c as C0
 
-from risnet.errors import FrequencyRangeError
+from risnet.errors import FrequencyRangeError, SingularityError
 from risnet.loads import (
     MicrostripLine,
     StubNetworkDesign,
@@ -105,6 +105,27 @@ def test_spdt_mismatched_switch_matches_scalar_cascade():
     # scalar oracle: s11 + s21*s12*g/(1 - s22*g) with s22 = 0
     np.testing.assert_allclose(profile.gamma[0], 0.1 + 1.0, rtol=1e-12)
     np.testing.assert_allclose(profile.gamma[1], 0.1 - 1.0, rtol=1e-12)
+
+
+def resonant_design(line):
+    """Behind a switch with S22 = -1, state 5's zero-length short (gamma = -1) is singular."""
+    states = tuple(
+        StubState(state=i, termination="open" if i < 4 else "short",
+                  length_m=0.0 if i == 5 else 5e-3)
+        for i in range(8)
+    )
+    switch = thru_switch([3.0e9, 4.2e9], s21=0.5, s22=-1.0)
+    return StubNetworkDesign(states=states, line=line, switch=switch)
+
+
+def test_switch_singularity_names_state_and_frequency():
+    freqs = np.array([3.3e9, 3.6e9])
+    design = resonant_design(lossless_line())
+    with pytest.raises(SingularityError, match=r"state 5 at 3300000000\.0 Hz"):
+        sp8t_load_profile(design, freqs)
+    # the grounded throw (state 1, gamma = -1) is the singular one of the SPDT pair
+    with pytest.raises(SingularityError, match=r"state 1 at 3300000000\.0 Hz"):
+        spdt_load_profile(design.switch, freqs)
 
 
 def test_sp8t_ideal_design_hits_ladder():

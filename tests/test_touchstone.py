@@ -212,3 +212,26 @@ def test_profile_at_frequency_interpolates():
 
     with pytest.raises(FrequencyRangeError):
         profile.at_frequency(0.5e9)
+
+
+@pytest.mark.parametrize("bad_row, line, fragment", [
+    ("1e9,0,0,0", 6, "duplicate row for state 0 at 1000000000.0 Hz"),
+    ("1e9,1,zz,0", 6, "non-numeric"),
+    ("1e9,-1,0,0", 6, "negative state index -1"),
+    ("1e9,4294967296,0,0", 6, "out of range"),
+    ("inf,1,0,0", 6, "non-finite frequency"),
+])
+def test_load_state_csv_errors_name_the_line(bad_row, line, fragment):
+    text = "# c\nfreq_hz,state,mag_db,phase_deg\n\n1e9,0,0,0\n# c\n" + bad_row + "\n2e9,1,0,0\n"
+    with pytest.raises(StateCsvError, match=fragment) as exc:
+        load_state_csv(text)
+    assert exc.value.line == line
+
+
+def test_load_state_csv_row_order_is_free():
+    rows = [f"{f:.12g},{s},{-s},{10 * s + f / 1e9}" for s in range(4) for f in (1e9, 2e9, 3e9)]
+    ordered = load_state_csv(state_csv(rows))
+    shuffled = load_state_csv(state_csv(rows[::-1][1::2] + rows[::-1][0::2]))
+    assert shuffled.states == ordered.states
+    np.testing.assert_array_equal(shuffled.frequencies, ordered.frequencies)
+    np.testing.assert_array_equal(shuffled.gamma, ordered.gamma)
