@@ -41,7 +41,7 @@ def _write_output(text: str, out: str | None):
 
 
 def _stamp_comments(args) -> tuple:
-    if getattr(args, "stamp", False):
+    if args.stamp:
         return (f"generated {datetime.now(timezone.utc).isoformat()}",)
     return ()
 
@@ -50,7 +50,9 @@ def _render_kv(pairs) -> str:
     return "\n".join(f"{k}: {v}" for k, v in pairs) + "\n"
 
 
-def _line_from_args(args, f_center: float) -> loads.MicrostripLine:
+def _line_from_args(args, f_center: float, needed_by: str) -> loads.MicrostripLine:
+    if args.line_width_m is None:
+        raise UsageError(f"{needed_by} requires --line-width-m (no published default)")
     return loads.MicrostripLine(
         width=args.line_width_m,
         substrate_height=args.substrate_height_m,
@@ -60,7 +62,12 @@ def _line_from_args(args, f_center: float) -> loads.MicrostripLine:
     )
 
 
-def _infer_bits(n_states: int) -> int:
+def _resolution_bits(args, n_states: int) -> int:
+    """``--bits`` checked against a profile's state count, or inferred from it."""
+    if args.bits is not None:
+        if n_states != 2**args.bits:
+            raise UsageError(f"--bits {args.bits} does not match a profile with {n_states} states")
+        return args.bits
     mapping = {2: 1, 4: 2, 8: 3}
     if n_states not in mapping:
         raise UsageError(
@@ -120,7 +127,8 @@ def _load_profile_source(args, frequencies: np.ndarray, f_center: float):
     if src == "ideal-1bit":
         return loads.spdt_load_profile(None, frequencies)
     if src == "ideal-3bit":
-        design = loads.ideal_sp8t_design(_line_from_args(args, f_center), f_center)
+        line = _line_from_args(args, f_center, "--loads ideal-3bit")
+        design = loads.ideal_sp8t_design(line, f_center)
         return loads.sp8t_load_profile(design, frequencies)
     suffix = Path(src).suffix.lower()
     if suffix == ".json":
@@ -161,9 +169,8 @@ def cmd_profile(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.line_width_m is None:
-        raise UsageError("synth requires --line-width-m (no published default)")
     f_center = args.f_center_hz
+    line = _line_from_args(args, f_center, "synth")
     band = (
         args.band_low_hz if args.band_low_hz is not None else N78_BAND[0],
         args.band_high_hz if args.band_high_hz is not None else N78_BAND[1],
@@ -171,7 +178,6 @@ def cmd_synth(args) -> int:
     switch = None
     if args.switch != "ideal":
         switch = touchstone.parse_touchstone(_read_text(args.switch))
-    line = _line_from_args(args, f_center)
     design = loads.synthesize_stub_lengths(
         switch, line, f_center, band, n_band_points=args.n_band_points
     )
@@ -191,11 +197,7 @@ def cmd_bandwidth(args) -> int:
         profile = metrics.select_states(profile, (0, 2, 4, 6))
         bits = 2
     else:
-        bits = args.bits if args.bits is not None else _infer_bits(profile.n_states)
-        if profile.n_states != 2**bits:
-            raise UsageError(
-                f"--bits {bits} does not match a profile with {profile.n_states} states"
-            )
+        bits = _resolution_bits(args, profile.n_states)
     report = metrics.bandwidth(profile, bits, args.f_center_hz)
     if args.format == "csv":
         _write_output(report.to_csv(), args.out)
@@ -217,7 +219,7 @@ def cmd_bandwidth(args) -> int:
         doc["resolution_bits"] = bits
         doc["f_center_hz"] = args.f_center_hz
         doc["virtual_2bit"] = bool(args.virtual_2bit)
-        if getattr(args, "stamp", False):
+        if args.stamp:
             doc["generated"] = datetime.now(timezone.utc).isoformat()
         _write_output(json.dumps(doc, indent=2) + "\n", args.out)
     return 0
@@ -225,11 +227,7 @@ def cmd_bandwidth(args) -> int:
 
 def cmd_pattern(args) -> int:
     profile = touchstone.load_state_csv(_read_text(args.profile))
-    bits = args.bits if args.bits is not None else _infer_bits(profile.n_states)
-    if profile.n_states != 2**bits:
-        raise UsageError(
-            f"--bits {bits} does not match a profile with {profile.n_states} states"
-        )
+    bits = _resolution_bits(args, profile.n_states)
     if bits not in (1, 3):
         raise UsageError("pattern layouts support 1-bit and 3-bit resolutions")
     layout = arr.build_array(args.tiles_x, args.tiles_y, bits)
@@ -238,9 +236,12 @@ def cmd_pattern(args) -> int:
     state_map, residual = arr.steering_codebook(
         layout, gamma_states, (args.theta_deg, args.phi_az_deg), f
     )
-    theta_grid = np.arange(
-        args.theta_start_deg, args.theta_stop_deg + args.theta_step_deg / 2, args.theta_step_deg
-    )
+    start, stop, step = args.theta_start_deg, args.theta_stop_deg, args.theta_step_deg
+    if not step > 0:
+        raise UsageError(f"--theta-step-deg must be > 0, got {step}")
+    if not stop >= start:
+        raise UsageError(f"--theta-stop-deg {stop} must be >= --theta-start-deg {start}")
+    theta_grid = np.arange(start, stop + step / 2, step)
     af = arr.array_factor(
         layout, state_map, gamma_states, f, theta_grid, args.phi_az_deg,
         element_exponent=args.element_exponent,
@@ -274,10 +275,8 @@ def cmd_pattern(args) -> int:
         ("peak_theta_deg", _fmt(peak_theta)),
         ("max_residual_deg", _fmt(float(np.max(residual)))),
     ]
-    if args.out is None:
-        sys.stdout.write(pattern_csv)
-    else:
-        Path(args.out).write_text(pattern_csv, encoding="utf-8")
+    _write_output(pattern_csv, args.out)
+    if args.out is not None:
         if args.format == "json":
             sys.stdout.write(json.dumps(dict(summary_pairs), indent=2) + "\n")
         else:
@@ -323,23 +322,34 @@ def cmd_gate(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--band-low-hz", type=float, default=None,
-                        help="lower band edge in Hz (default: n78 3.3e9 where a band is needed)")
-    common.add_argument("--band-high-hz", type=float, default=None,
-                        help="upper band edge in Hz (default: n78 3.8e9 where a band is needed)")
-    common.add_argument("--f-center-hz", type=float, default=DEFAULT_F_CENTER,
-                        help="center frequency in Hz (default 3.6e9)")
-    common.add_argument("--bits", type=int, choices=(1, 2, 3), default=None,
-                        help="phase resolution in bits (default: inferred)")
-    common.add_argument("--out", type=str, default=None,
-                        help="output path (default: stdout)")
-    common.add_argument("--format", choices=("json", "csv", "text"), default=None,
-                        help="structured output format")
-    common.add_argument("--stamp", action="store_true",
-                        help="include a generation timestamp in outputs")
+# Flags that more than one subcommand reads; each subcommand names its own.
+_SHARED_FLAGS = {
+    "--band-low-hz": dict(type=float, default=None,
+                          help="lower band edge in Hz (default: n78 3.3e9 where a band is needed)"),
+    "--band-high-hz": dict(type=float, default=None,
+                           help="upper band edge in Hz (default: n78 3.8e9 where a band is needed)"),
+    "--f-center-hz": dict(type=float, default=DEFAULT_F_CENTER,
+                          help="center frequency in Hz (default 3.6e9)"),
+    "--bits": dict(type=int, choices=(1, 2, 3), default=None,
+                   help="phase resolution in bits (default: inferred)"),
+    "--out": dict(type=str, default=None, help="output path (default: stdout)"),
+    "--stamp": dict(action="store_true", help="include a generation timestamp in outputs"),
+}
 
+
+def _subparser(sub, name, func, flags, formats=(), **kwargs) -> argparse.ArgumentParser:
+    """Subcommand ``name`` with the shared ``flags``; ``formats[0]`` is the --format default."""
+    p = sub.add_parser(name, **kwargs)
+    for flag in flags:
+        p.add_argument(flag, **_SHARED_FLAGS[flag])
+    if formats:
+        p.add_argument("--format", choices=formats, default=formats[0],
+                       help="structured output format")
+    p.set_defaults(func=func)
+    return p
+
+
+def build_parser() -> argparse.ArgumentParser:
     line = argparse.ArgumentParser(add_help=False)
     line.add_argument("--line-width-m", type=float, default=None,
                       help="microstrip width in metres")
@@ -357,34 +367,34 @@ def build_parser() -> argparse.ArgumentParser:
         description="Network-level modeling of switched-load reflective surfaces",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    band = ("--band-low-hz", "--band-high-hz", "--f-center-hz")
 
-    p = sub.add_parser("parse", parents=[common], help="summarize a Touchstone or state CSV file")
+    p = _subparser(sub, "parse", cmd_parse, ("--out",), ("text", "json"),
+                   help="summarize a Touchstone or state CSV file")
     p.add_argument("file")
-    p.set_defaults(func=cmd_parse, format_default="text")
 
-    p = sub.add_parser("profile", parents=[common, line],
-                       help="cascade loads through a unit cell into a state CSV")
+    p = _subparser(sub, "profile", cmd_profile, band + ("--out", "--stamp"), parents=[line],
+                   help="cascade loads through a unit cell into a state CSV")
     p.add_argument("unit_cell", help="unit-cell 2-port Touchstone file (.s2p)")
     p.add_argument("--loads", required=True,
                    help="ideal-1bit | ideal-3bit | design .json | switch .s2p")
-    p.set_defaults(func=cmd_profile, format_default="csv")
 
-    p = sub.add_parser("synth", parents=[common, line],
-                       help="synthesize 8-state stub lengths for the 45-degree ladder")
+    p = _subparser(sub, "synth", cmd_synth, band + ("--out",), parents=[line],
+                   help="synthesize 8-state stub lengths for the 45-degree ladder")
     p.add_argument("--switch", default="ideal", help="'ideal' or a switch .s2p path")
     p.add_argument("--n-band-points", type=int, default=21,
                    help="points on the synthesis band grid (default 21)")
-    p.set_defaults(func=cmd_synth, format_default="json")
 
-    p = sub.add_parser("bandwidth", parents=[common],
-                       help="sigma, effective bits and usable band of a profile")
+    p = _subparser(sub, "bandwidth", cmd_bandwidth,
+                   ("--bits", "--f-center-hz", "--out", "--stamp"), ("json", "csv", "text"),
+                   help="sigma, effective bits and usable band of a profile")
     p.add_argument("profile", help="state CSV path")
     p.add_argument("--virtual-2bit", action="store_true",
                    help="reduce an 8-state profile to states 0,2,4,6 first")
-    p.set_defaults(func=cmd_bandwidth, format_default="json")
 
-    p = sub.add_parser("pattern", parents=[common],
-                       help="steering codebook and far-field cut for a tiled wall")
+    p = _subparser(sub, "pattern", cmd_pattern,
+                   ("--bits", "--f-center-hz", "--out", "--stamp"), ("text", "json"),
+                   help="steering codebook and far-field cut for a tiled wall")
     p.add_argument("profile", help="state CSV path")
     p.add_argument("--tiles-x", type=int, default=6)
     p.add_argument("--tiles-y", type=int, default=6)
@@ -397,10 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cos^q element factor exponent (0 disables)")
     p.add_argument("--state-map-out", type=str, default=None,
                    help="write the per-cell state map (.json for JSON, else text grid)")
-    p.set_defaults(func=cmd_pattern, format_default="text")
 
-    p = sub.add_parser("gate", parents=[common],
-                       help="time-gate a sweep, optionally normalizing to a plate reference")
+    p = _subparser(sub, "gate", cmd_gate, ("--out", "--stamp"),
+                   help="time-gate a sweep, optionally normalizing to a plate reference")
     p.add_argument("sweep", help="sweep file (.s1p or CSV freq_hz,re,im)")
     p.add_argument("--t-start-s", type=float, required=True)
     p.add_argument("--t-stop-s", type=float, required=True)
@@ -411,32 +420,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--normalize", action="store_true",
                    help="divide by a gated metal-plate reference")
     p.add_argument("--reference", type=str, default=None, help="plate reference sweep file")
-    p.set_defaults(func=cmd_gate, format_default="csv")
     return parser
 
 
+# First match wins: InputDataError and UnicodeDecodeError (non-text input) are ValueErrors.
+_EXIT_CODES = (
+    (UsageError, 2), (InputDataError, 3), (NumericalError, 4), (OSError, 3),
+    (UnicodeDecodeError, 3), (ValueError, 2),
+)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.format is None:
-        args.format = args.format_default
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as e:
+    except (UsageError, NumericalError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except InputDataError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except NumericalError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return next(code for kind, code in _EXIT_CODES if isinstance(e, kind))
 
 
 def run():

@@ -9,27 +9,22 @@ from __future__ import annotations
 
 
 class InputDataError(ValueError):
-    """Malformed or inconsistent input data (files, grids, sweep ranges)."""
-
-
-class TouchstoneParseError(InputDataError):
-    """Touchstone text that violates the v1 grammar. Carries a line number."""
+    """Malformed or inconsistent input data (files, grids, sweep ranges), with
+    the 1-based input ``line`` at fault, when given, prefixed to the message."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+class TouchstoneParseError(InputDataError):
+    """Touchstone text that violates the v1 grammar."""
 
 
 class StateCsvError(InputDataError):
     """Bad per-state reflection CSV (grid holes, duplicates, bad fields)."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
 
 class SweepGridError(InputDataError):

@@ -181,20 +181,16 @@ def sweep_to_network(sweep: Sweep, reference_impedance: float = 50.0) -> PortNet
     )
 
 
-def _sweep_csv_error(message: str, line_no: int) -> SweepGridError:
-    return SweepGridError(f"line {line_no}: {message}")
-
-
 def load_sweep_csv(text: str) -> Sweep:
     """Read a sweep from CSV with header ``freq_hz,re,im`` (# comments ignored)."""
     freqs = []
     values = []
-    for line_no, fields in _csv_rows(text, SWEEP_CSV_HEADER, _sweep_csv_error):
+    for line_no, fields in _csv_rows(text, SWEEP_CSV_HEADER, SweepGridError):
         try:
             freqs.append(float(fields[0]))
             values.append(float(fields[1]) + 1j * float(fields[2]))
         except ValueError:
-            raise _sweep_csv_error(f"non-numeric field in '{','.join(fields)}'", line_no) from None
+            raise SweepGridError(f"non-numeric field in '{','.join(fields)}'", line_no) from None
     return Sweep(frequencies=np.array(freqs), values=np.array(values))
 
 

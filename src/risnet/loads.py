@@ -58,6 +58,8 @@ class MicrostripLine:
             raise ValueError("loss must be >= 0")
         if self.reference_frequency <= 0:
             raise ValueError("reference frequency must be > 0")
+        if not all(math.isfinite(v) for v in vars(self).values()):
+            raise ValueError("line parameters must be finite")
 
 
 @dataclass(frozen=True)
@@ -191,7 +193,11 @@ def microstrip_eeff(line: MicrostripLine) -> float:
     """Quasi-static effective permittivity (Hammerstad-Jensen closed form)."""
     u = line.width / line.substrate_height
     er = line.epsilon_r
-    a = 1.0 + math.log((u**4 + (u / 52.0) ** 2) / (u**4 + 0.432)) / 49.0
+    try:
+        u4 = u**4
+    except OverflowError:
+        raise ValueError(f"width/height ratio {u} is out of range") from None
+    a = 1.0 + math.log((u4 + (u / 52.0) ** 2) / (u4 + 0.432)) / 49.0
     a += math.log(1.0 + (u / 18.1) ** 3) / 18.7
     b = 0.564 * ((er - 0.9) / (er + 3.0)) ** 0.053
     return (er + 1.0) / 2.0 + (er - 1.0) / 2.0 * (1.0 + 10.0 / u) ** (-a * b)
@@ -319,8 +325,8 @@ def synthesize_stub_lengths(
     Terminations come from the minimal-length zero-loss rule; each length is
     then found independently by golden-section search over [0, lambda_g/2)
     minimizing the weighted mean-square circular error between the realized
-    and target phases on the band grid (``n_band_points`` uniform points, or
-    the single point for a degenerate band). A coarse scan brackets the
+    and target phases on the band grid (``n_band_points`` >= 2 uniform points,
+    or the single point for a degenerate band). A coarse scan brackets the
     minimum first since the objective is periodic in length.
 
     Per-state residuals are reported at ``f_center``; for an ideal switch
@@ -337,6 +343,8 @@ def synthesize_stub_lengths(
             f"band [{f_lo}, {f_hi}] Hz not contained in switch sweep "
             f"[{switch.f_min}, {switch.f_max}] Hz"
         )
+    if f_hi > f_lo and n_band_points < 2:
+        raise ValueError(f"a band with f_hi > f_lo needs n_band_points >= 2, got {n_band_points}")
     grid = np.array([f_lo]) if f_hi == f_lo else np.linspace(f_lo, f_hi, n_band_points)
     if weights is None:
         # Uniform when the band is symmetric about f_center. Otherwise tilt

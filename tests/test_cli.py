@@ -1,7 +1,11 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from risnet import cli
 from risnet.gating import dump_sweep_csv, load_sweep_csv, synth_multipath
@@ -439,3 +443,219 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
+
+
+FOREIGN_BASE = {
+    "parse": ["parse", "x.s2p"],
+    "profile": ["profile", "x.s2p", "--loads", "ideal-1bit"],
+    "synth": ["synth", "--line-width-m", "1.5e-3"],
+    "bandwidth": ["bandwidth", "p.csv"],
+    "pattern": ["pattern", "p.csv"],
+    "gate": ["gate", "s.csv", "--t-start-s", "0", "--t-stop-s", "1e-9"],
+}
+
+
+@pytest.mark.parametrize("sub, extra", [
+    ("parse", ["--band-low-hz", "3.3e9"]),
+    ("parse", ["--band-high-hz", "3.8e9"]),
+    ("parse", ["--f-center-hz", "3.6e9"]),
+    ("parse", ["--bits", "3"]),
+    ("parse", ["--stamp"]),
+    ("parse", ["--format", "csv"]),
+    ("profile", ["--bits", "3"]),
+    ("profile", ["--format", "json"]),
+    ("synth", ["--bits", "3"]),
+    ("synth", ["--format", "json"]),
+    ("synth", ["--stamp"]),
+    ("bandwidth", ["--band-low-hz", "3.3e9"]),
+    ("bandwidth", ["--band-high-hz", "3.8e9"]),
+    ("pattern", ["--band-low-hz", "3.3e9"]),
+    ("pattern", ["--band-high-hz", "3.8e9"]),
+    ("pattern", ["--format", "csv"]),
+    ("gate", ["--band-low-hz", "3.3e9"]),
+    ("gate", ["--band-high-hz", "3.8e9"]),
+    ("gate", ["--f-center-hz", "3.6e9"]),
+    ("gate", ["--bits", "3"]),
+    ("gate", ["--format", "csv"]),
+])
+def test_foreign_flag_exits_2(tmp_path, monkeypatch, capsys, sub, extra):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(FOREIGN_BASE[sub] + extra)
+    assert exc.value.code == 2
+    assert extra[-1] in capsys.readouterr().err
+
+
+def test_profile_ideal_3bit_requires_line_width(tmp_path, capsys):
+    s2p = write_thru_s2p(tmp_path / "thru.s2p")
+    assert cli.main(["profile", s2p, "--loads", "ideal-3bit"]) == 2
+    err = capsys.readouterr().err
+    assert "--loads ideal-3bit requires --line-width-m" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("theta_flags, named", [
+    (["--theta-step-deg", "0"], "--theta-step-deg"),
+    (["--theta-step-deg", "-1"], "--theta-step-deg"),
+    (["--theta-step-deg", "nan"], "--theta-step-deg"),
+    (["--theta-start-deg", "10", "--theta-stop-deg", "0"], "--theta-stop-deg"),
+])
+def test_pattern_bad_theta_grid_exits_2(tmp_path, capsys, theta_flags, named):
+    csv_path = write_ideal_3bit_profile(tmp_path / "p.csv", np.linspace(3.3e9, 3.8e9, 5))
+    assert cli.main(["pattern", csv_path, "--tiles-x", "1", "--tiles-y", "1", *theta_flags]) == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("band, points, code", [
+    ([], "0", 2),
+    ([], "1", 2),
+    (["--band-low-hz", "3.6e9", "--band-high-hz", "3.6e9"], "1", 0),
+])
+def test_synth_band_points(tmp_path, capsys, band, points, code):
+    out = tmp_path / "design.json"
+    argv = ["synth", "--line-width-m", "1.5e-3", "--n-band-points", points, "--out", str(out)]
+    assert cli.main(argv + band) == code
+    if code:
+        assert "n_band_points >= 2" in capsys.readouterr().err
+    else:
+        assert len(json.loads(out.read_text())["states"]) == 8
+
+
+@pytest.mark.parametrize("line_flag", ["--line-width-m=inf", "--substrate-height-m=1e-300"])
+def test_synth_nonphysical_line_exits_2(tmp_path, capsys, line_flag):
+    out = tmp_path / "design.json"
+    assert cli.main(["synth", "--line-width-m", "1.5e-3", line_flag, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+BINARY = b"\x89PNG\r\n\x1a\n\x00\xff"
+
+
+@pytest.mark.parametrize("argv", [
+    ["parse", "{f}"],
+    ["bandwidth", "{f}"],
+    ["profile", "{f}", "--loads", "ideal-1bit"],
+])
+def test_binary_input_exits_3(tmp_path, capsys, argv):
+    path = tmp_path / "binary.s2p"
+    path.write_bytes(BINARY)
+    assert cli.main([a.format(f=path) for a in argv]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Tiny inputs of every kind the CLI reads, plus wrong kinds and missing paths."""
+    d = tmp_path_factory.mktemp("fuzz")
+    freqs = np.linspace(3.3e9, 3.8e9, 5)
+    sweep = synth_multipath([(2e-9, 1.0), (10e-9, 0.5)], np.linspace(3.0e9, 4.2e9, 16))
+    design = ideal_sp8t_design(MicrostripLine(1.5e-3, 0.8e-3, 4.9), 3.6e9).to_json()
+    texts = {
+        "sweep.csv": dump_sweep_csv(sweep),
+        "design.json": design,
+        "bad.json": '{"line": ',
+        "one.s1p": "# Hz S RI R 50\n3.0e9 0.5 0\n4.2e9 0.5 0\n",
+        "empty.csv": "",
+    }
+    for name, text in texts.items():
+        (d / name).write_text(text, encoding="utf-8")
+    (d / "binary.s2p").write_bytes(BINARY)
+    write_thru_s2p(d / "thru.s2p")
+    write_ideal_3bit_profile(d / "p3.csv", freqs)
+    two = ["freq_hz,state,mag_db,phase_deg"]
+    two += [f"{f:.12g},{s},0,{180 * s}" for f in freqs for s in (0, 1)]
+    (d / "p1.csv").write_text("\n".join(two) + "\n", encoding="utf-8")
+    return d
+
+
+FUZZ_WRONG = ["thru.s2p", "one.s1p", "p3.csv", "sweep.csv", "design.json", "bad.json",
+              "empty.csv", "binary.s2p", "missing.s2p", "."]
+FUZZ_REALS = ["0", "-1", "nan", "inf", "-inf", "1e-300"]
+FUZZ_HZ = ["3.3e9", "3.6e9", "3.8e9", *FUZZ_REALS]
+FUZZ_OUT = ["out.txt", "out.json", "out.s1p", "nodir/out.csv", "."]
+FUZZ_LINE = {
+    "--substrate-height-m": ["0.8e-3", *FUZZ_REALS],
+    "--epsilon-r": ["4.9", "1", *FUZZ_REALS],
+    "--loss-db-per-m": ["5", *FUZZ_REALS],
+    "--loss-ref-hz": FUZZ_HZ,
+}
+FUZZ_WIDTH = {"--line-width-m": ["1.5e-3", *FUZZ_REALS]}
+FUZZ_BAND = {"--band-low-hz": FUZZ_HZ, "--band-high-hz": FUZZ_HZ, "--f-center-hz": FUZZ_HZ}
+# Per subcommand: positional files of the right kind, flags that every argv
+# carries, and flags drawn at will; a value list of None marks a switch. Half
+# the positionals come from FUZZ_WRONG instead, and values are passed as
+# --flag=value so that argparse reads "-inf" as a value.
+# Grid sizes and steps come only from small sets so that no example allocates
+# a large theta grid, wall or band grid.
+FUZZ_ARGS = {
+    "parse": (["thru.s2p", "p3.csv", "one.s1p"], {},
+              {"--format": ["json", "text"], "--out": FUZZ_OUT}),
+    "profile": (["thru.s2p"], {
+        "--loads": ["ideal-1bit", "ideal-3bit", "design.json", "thru.s2p", "ideal-5bit",
+                    "bad.json", "one.s1p", "p3.csv", "missing.json"],
+    }, {**FUZZ_BAND, **FUZZ_WIDTH, **FUZZ_LINE, "--out": FUZZ_OUT, "--stamp": None}),
+    "synth": ([], FUZZ_WIDTH, {
+        "--switch": ["ideal", "thru.s2p", "one.s1p", "p3.csv", "binary.s2p", "missing.s2p"],
+        "--n-band-points": ["-1", "0", "1", "2", "5"],
+        **FUZZ_BAND, **FUZZ_LINE, "--out": FUZZ_OUT,
+    }),
+    "bandwidth": (["p3.csv", "p1.csv"], {}, {
+        "--virtual-2bit": None, "--bits": ["1", "2", "3"], "--f-center-hz": FUZZ_HZ,
+        "--format": ["json", "csv", "text"], "--out": FUZZ_OUT, "--stamp": None,
+    }),
+    "pattern": (["p3.csv", "p1.csv"], {}, {
+        "--tiles-x": ["-1", "0", "1", "2"], "--tiles-y": ["-1", "0", "1", "2"],
+        "--theta-deg": ["0", "30", "90", *FUZZ_REALS], "--phi-az-deg": ["0", "45", *FUZZ_REALS],
+        "--theta-start-deg": ["-90", "0", "90", "nan", "-inf"],
+        "--theta-stop-deg": ["-90", "0", "90", "nan", "inf"],
+        "--theta-step-deg": ["-1", "0", "0.5", "30", "nan", "inf"],
+        "--element-exponent": ["0", "1", *FUZZ_REALS],
+        "--state-map-out": ["map.json", "map.txt", "nodir/map.txt", "."],
+        "--bits": ["1", "2", "3"], "--f-center-hz": FUZZ_HZ,
+        "--format": ["json", "text"], "--out": FUZZ_OUT, "--stamp": None,
+    }),
+    "gate": (["sweep.csv"], {
+        "--t-start-s": ["0", "1e-9", "1", *FUZZ_REALS],
+        "--t-stop-s": ["6e-9", "1e-6", *FUZZ_REALS],
+    }, {
+        "--edge-fraction": ["0", "0.25", "1", "2", *FUZZ_REALS],
+        "--kaiser-beta": ["0", "6", *FUZZ_REALS],
+        "--normalize": None,
+        "--reference": ["sweep.csv", "thru.s2p", "one.s1p", "p3.csv", "missing.csv"],
+        "--out": FUZZ_OUT, "--stamp": None,
+    }),
+}
+
+
+@st.composite
+def fuzz_argv(draw, sub):
+    files, required, optional = FUZZ_ARGS[sub]
+    argv = [sub]
+    if files:
+        argv.append(draw(st.sampled_from(files) | st.sampled_from(FUZZ_WRONG)))
+    chosen = draw(st.lists(st.sampled_from(sorted(optional)), unique=True, max_size=6))
+    for flag in [*required, *chosen]:
+        values = required.get(flag, optional.get(flag))
+        argv.append(flag if values is None else f"{flag}={draw(st.sampled_from(values))}")
+    return argv
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN and inf inputs are the point
+@pytest.mark.parametrize("sub", sorted(FUZZ_ARGS))
+def test_cli_fuzz_exit_codes(fuzz_files, monkeypatch, sub):
+    """Every drawn argv exits 0, 2, 3 or 4; any other exception fails the test."""
+    monkeypatch.chdir(fuzz_files)
+
+    @settings(deadline=None, max_examples=100, database=None)
+    @given(fuzz_argv(sub))
+    def run(argv):
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            try:
+                code = cli.main(argv)
+            except SystemExit as e:
+                code = e.code
+        assert code in (0, 2, 3, 4), argv
+
+    run()

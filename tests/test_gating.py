@@ -196,6 +196,19 @@ def test_sweep_csv_errors():
         load_sweep_csv("freq_hz,re,im\n1e9,x,0\n")
 
 
+@pytest.mark.parametrize("text, line, message", [
+    ("# c\n\nfreq,re,im\n", 3, "line 3: expected header 'freq_hz,re,im', got 'freq,re,im'"),
+    ("freq_hz,re,im\n# c\n1e9,0\n", 3, "line 3: expected 3 comma-separated fields, got 2"),
+    ("freq_hz,re,im\n1e9, 0 ,x\n", 2, "line 2: non-numeric field in '1e9,0,x'"),
+    ("# only a comment\n", 1, "line 1: missing header line"),
+])
+def test_sweep_csv_errors_name_the_line(text, line, message):
+    with pytest.raises(SweepGridError) as exc:
+        load_sweep_csv(text)
+    assert str(exc.value) == message
+    assert exc.value.line == line
+
+
 def test_sweep_network_roundtrip():
     sweep = synth_multipath([(1e-9, 0.7)], FREQS)
     net = sweep_to_network(sweep)

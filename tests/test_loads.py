@@ -57,6 +57,22 @@ def test_line_validation():
         MicrostripLine(width=1e-3, substrate_height=1e-3, epsilon_r=2.0, loss_db_per_m=-1)
 
 
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+@pytest.mark.parametrize("field", [
+    "width", "substrate_height", "epsilon_r", "loss_db_per_m", "reference_frequency",
+])
+def test_line_rejects_non_finite(field, value):
+    kwargs = dict(width=1.5e-3, substrate_height=0.8e-3, epsilon_r=4.9)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match="finite"):
+        MicrostripLine(**kwargs)
+
+
+def test_eeff_width_ratio_out_of_range():
+    with pytest.raises(ValueError, match="width/height ratio"):
+        microstrip_eeff(MicrostripLine(width=1.5e-3, substrate_height=1e-300, epsilon_r=4.9))
+
+
 def test_stub_zero_length():
     line = lossless_line()
     assert stub_reflection(0.0, "open", F_CENTER, line) == 1.0
