@@ -110,6 +110,8 @@ def steering_codebook(layout: ArrayLayout, gamma_states, direction, f: float) ->
     theta_deg, phi_az_deg = direction
     if not (0.0 <= abs(theta_deg) < 90.0):
         raise ValueError("theta must satisfy 0 <= |theta| < 90 degrees")
+    if not np.isfinite(phi_az_deg):
+        raise ValueError(f"phi_az_deg must be finite, got {phi_az_deg}")
     theta = np.deg2rad(theta_deg)
     phi = np.deg2rad(phi_az_deg)
     x, y = layout.cell_positions()
@@ -138,7 +140,9 @@ def array_factor(
     y*sin(theta)*sin(phi))) times an optional cos^q(theta) element factor
     (q = ``element_exponent``, 0 disables it). Output shape is
     (len(theta_deg), len(phi_az_deg)) squeezed to 1-D when a single azimuth
-    is given. Normalize against its own max for dB plots.
+    is given. Normalize against its own max for dB plots. On the regular cell
+    grid the sum factors as a_y(v)^T G a_x(u) with G the (cells_y, cells_x)
+    gamma grid, so memory is O(directions * (cells_x + cells_y)).
     """
     state_map = np.asarray(state_map)
     if state_map.shape != (layout.cells_y, layout.cells_x):
@@ -149,19 +153,21 @@ def array_factor(
     gamma_states = np.asarray(gamma_states, dtype=complex)
     if np.any(state_map < 0) or np.any(state_map >= len(gamma_states)):
         raise ValueError("state map indices out of range")
+    if not (np.isfinite(element_exponent) and element_exponent >= 0):
+        raise ValueError(f"element_exponent must be finite and >= 0, got {element_exponent}")
     theta = np.deg2rad(np.atleast_1d(np.asarray(theta_deg, dtype=float)))
     phi = np.deg2rad(np.atleast_1d(np.asarray(phi_az_deg, dtype=float)))
+    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(phi))):
+        raise ValueError("theta_deg and phi_az_deg must be finite")
     x, y = layout.cell_positions()
-    gamma_cells = gamma_states[state_map].ravel()
-    xf = x.ravel()
-    yf = y.ravel()
     k0 = 2.0 * np.pi * f / C0
 
     sin_t = np.sin(theta)[:, np.newaxis]
-    ux = sin_t * np.cos(phi)[np.newaxis, :]
-    uy = sin_t * np.sin(phi)[np.newaxis, :]
-    phase = k0 * (ux[..., np.newaxis] * xf + uy[..., np.newaxis] * yf)
-    af = np.sum(gamma_cells * np.exp(1j * phase), axis=-1)
+    ux = (sin_t * np.cos(phi)).ravel()
+    uy = (sin_t * np.sin(phi)).ravel()
+    a_x = np.exp(1j * k0 * np.multiply.outer(ux, x[0]))
+    a_y = np.exp(1j * k0 * np.multiply.outer(uy, y[:, 0]))
+    af = np.sum((a_y @ gamma_states[state_map]) * a_x, axis=1).reshape(theta.size, phi.size)
     if element_exponent:
         af = af * np.cos(theta)[:, np.newaxis] ** element_exponent
     return af if af.shape[1] > 1 else af[:, 0]

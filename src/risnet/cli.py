@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -23,6 +24,13 @@ from .touchstone import _fmt
 
 N78_BAND = (3.3e9, 3.8e9)
 DEFAULT_F_CENTER = 3.6e9
+
+# Grid-size caps, checked before anything is allocated. At the caps a pattern
+# cut needs about 0.3 GB of temporaries (64x64 tiles, 20001 angles) and a
+# synthesis band grid about 10 MB per coarse-scan array.
+MAX_TILES = 64
+MAX_THETA_POINTS = 20_001
+MAX_BAND_POINTS = 10_001
 
 
 class UsageError(Exception):
@@ -169,6 +177,10 @@ def cmd_profile(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if args.n_band_points > MAX_BAND_POINTS:
+        raise UsageError(
+            f"--n-band-points {args.n_band_points} is above the limit of {MAX_BAND_POINTS}"
+        )
     f_center = args.f_center_hz
     line = _line_from_args(args, f_center, "synth")
     band = (
@@ -225,7 +237,27 @@ def cmd_bandwidth(args) -> int:
     return 0
 
 
+def _theta_grid(args) -> np.ndarray:
+    """The --theta-* cut, with its length checked before it is allocated."""
+    start, stop, step = args.theta_start_deg, args.theta_stop_deg, args.theta_step_deg
+    if not (step > 0 and math.isfinite(step)):
+        raise UsageError(f"--theta-step-deg must be finite and > 0, got {step}")
+    if not stop >= start:
+        raise UsageError(f"--theta-stop-deg {stop} must be >= --theta-start-deg {start}")
+    n = (stop - start) / step + 1
+    if not n <= MAX_THETA_POINTS:
+        raise UsageError(
+            f"--theta-step-deg {step} from --theta-start-deg {start} to --theta-stop-deg "
+            f"{stop} gives {n:.3g} angles; the limit is {MAX_THETA_POINTS}"
+        )
+    return np.arange(start, stop + step / 2, step)
+
+
 def cmd_pattern(args) -> int:
+    for flag, tiles in (("--tiles-x", args.tiles_x), ("--tiles-y", args.tiles_y)):
+        if tiles > MAX_TILES:
+            raise UsageError(f"{flag} {tiles} is above the limit of {MAX_TILES} tiles")
+    theta_grid = _theta_grid(args)
     profile = touchstone.load_state_csv(_read_text(args.profile))
     bits = _resolution_bits(args, profile.n_states)
     if bits not in (1, 3):
@@ -236,12 +268,6 @@ def cmd_pattern(args) -> int:
     state_map, residual = arr.steering_codebook(
         layout, gamma_states, (args.theta_deg, args.phi_az_deg), f
     )
-    start, stop, step = args.theta_start_deg, args.theta_stop_deg, args.theta_step_deg
-    if not step > 0:
-        raise UsageError(f"--theta-step-deg must be > 0, got {step}")
-    if not stop >= start:
-        raise UsageError(f"--theta-stop-deg {stop} must be >= --theta-start-deg {start}")
-    theta_grid = np.arange(start, stop + step / 2, step)
     af = arr.array_factor(
         layout, state_map, gamma_states, f, theta_grid, args.phi_az_deg,
         element_exponent=args.element_exponent,

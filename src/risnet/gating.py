@@ -23,6 +23,9 @@ _PAD_FACTOR = 4
 # Pre-window compensation floor; avoids blow-up at heavily tapered edges.
 _WINDOW_FLOOR = 1e-3
 
+# np.kaiser divides by I0(beta), which overflows float64 above beta ~ 709.
+_MAX_KAISER_BETA = 700.0
+
 SWEEP_CSV_HEADER = "freq_hz,re,im"
 
 
@@ -80,8 +83,11 @@ class GateSpec:
             raise ValueError("need 0 <= t_start < t_stop")
         if not (0.0 <= self.window_shape <= 1.0):
             raise ValueError("window_shape must be in [0, 1]")
-        if self.pre_window < 0:
-            raise ValueError("pre_window beta must be >= 0")
+        if not (0.0 <= self.pre_window <= _MAX_KAISER_BETA):
+            raise ValueError(
+                f"pre_window (Kaiser beta) must be in [0, {_MAX_KAISER_BETA:g}], "
+                f"got {self.pre_window}"
+            )
 
 
 def synth_multipath(paths, frequencies) -> Sweep:

@@ -1,7 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from risnet.array import (
+    C0,
     ArrayLayout,
     array_factor,
     build_array,
@@ -15,6 +21,24 @@ from risnet.array import (
 F = 3.6e9
 IDEAL_3BIT = np.exp(1j * np.deg2rad(np.arange(8) * 45.0))
 IDEAL_1BIT = np.array([1.0 + 0j, -1.0 + 0j])
+
+
+def direct_sum_af(layout, state_map, gamma_states, f, theta_deg, phi_az_deg=0.0,
+                  element_exponent=1.0):
+    """Reference array factor: the plain sum over a (theta, phi, cell) phase tensor."""
+    theta = np.deg2rad(np.atleast_1d(np.asarray(theta_deg, dtype=float)))
+    phi = np.deg2rad(np.atleast_1d(np.asarray(phi_az_deg, dtype=float)))
+    x, y = layout.cell_positions()
+    gamma_cells = np.asarray(gamma_states, dtype=complex)[state_map].ravel()
+    k0 = 2.0 * np.pi * f / C0
+    sin_t = np.sin(theta)[:, np.newaxis]
+    ux = sin_t * np.cos(phi)[np.newaxis, :]
+    uy = sin_t * np.sin(phi)[np.newaxis, :]
+    phase = k0 * (ux[..., np.newaxis] * x.ravel() + uy[..., np.newaxis] * y.ravel())
+    af = np.sum(gamma_cells * np.exp(1j * phase), axis=-1)
+    if element_exponent:
+        af = af * np.cos(theta)[:, np.newaxis] ** element_exponent
+    return af if af.shape[1] > 1 else af[:, 0]
 
 
 def test_build_array_wall_geometry():
@@ -135,6 +159,71 @@ def test_array_factor_shape_validation():
     layout = build_array(1, 1, 1)
     with pytest.raises(ValueError, match="shape"):
         array_factor(layout, np.zeros((3, 4), int), np.ones(2, complex), F, [0.0])
+
+
+angles_deg = st.floats(-90.0, 90.0, allow_nan=False)
+azimuths_deg = st.floats(0.0, 360.0, allow_nan=False)
+
+
+@st.composite
+def walls(draw):
+    """A wall of 1-4 tiles per side, its resolution, state gammas and a random state map."""
+    tiles = st.integers(1, 4)
+    layout = build_array(draw(tiles), draw(tiles), draw(st.sampled_from((1, 3))))
+    n = 2**layout.resolution_bits
+    mags = draw(arrays(float, n, elements=st.floats(0.05, 1.0)))
+    phases = draw(arrays(float, n, elements=azimuths_deg))
+    state_map = draw(arrays(int, (layout.cells_y, layout.cells_x), elements=st.integers(0, n - 1)))
+    return layout, state_map, mags * np.exp(1j * np.deg2rad(phases))
+
+
+@settings(deadline=None, max_examples=150)
+@given(walls(), st.floats(3.3e9, 3.8e9),
+       st.lists(angles_deg, min_size=1, max_size=40),
+       azimuths_deg | st.lists(azimuths_deg, min_size=2, max_size=12),
+       st.sampled_from((0.0, 1.0)))
+def test_array_factor_matches_direct_sum(wall, f, theta, phi, q):
+    layout, state_map, gammas = wall
+    af = array_factor(layout, state_map, gammas, f, theta, phi, element_exponent=q)
+    ref = direct_sum_af(layout, state_map, gammas, f, theta, phi, element_exponent=q)
+    assert af.shape == ref.shape
+    scale = np.sum(np.abs(gammas[state_map]))
+    assert np.max(np.abs(af - ref)) <= 1e-12 * scale
+
+
+def test_array_factor_memory_stays_small():
+    # A 24x24-tile wall over a 361-theta cut: the (directions, cells) phase
+    # tensor alone is 361 x 9216 complex values, about 53 MB.
+    layout = build_array(24, 24, 3)
+    state_map, _ = steering_codebook(layout, IDEAL_3BIT, (20.0, 10.0), F)
+    theta = np.arange(-90.0, 90.25, 0.5)
+    tracemalloc.start()
+    try:
+        array_factor(layout, state_map, IDEAL_3BIT, F, theta, 10.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+@pytest.mark.parametrize("kwargs, named", [
+    (dict(element_exponent=float("nan")), "element_exponent"),
+    (dict(element_exponent=float("inf")), "element_exponent"),
+    (dict(element_exponent=-1.0), "element_exponent"),
+    (dict(phi_az_deg=float("nan")), "phi_az_deg"),
+    (dict(theta_deg=[0.0, float("inf")]), "theta_deg"),
+])
+def test_array_factor_rejects_nonphysical_arguments(kwargs, named):
+    layout = build_array(1, 1, 1)
+    args = {"theta_deg": [0.0, 10.0], **kwargs}
+    with pytest.raises(ValueError, match=named):
+        array_factor(layout, np.zeros((4, 4), int), IDEAL_1BIT, F, **args)
+
+
+@pytest.mark.parametrize("phi", [float("nan"), float("inf"), float("-inf")])
+def test_codebook_rejects_non_finite_azimuth(phi):
+    with pytest.raises(ValueError, match="phi_az_deg"):
+        steering_codebook(build_array(1, 1, 1), IDEAL_1BIT, (10.0, phi), F)
 
 
 def test_power_consumption_exact():

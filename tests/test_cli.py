@@ -407,6 +407,17 @@ def test_gate_normalize_with_reference(tmp_path):
     np.testing.assert_allclose(np.abs(result.values[sl]), 0.5, atol=0.01)
 
 
+@pytest.mark.parametrize("beta", ["nan", "inf", "-1", "1e3"])
+def test_gate_nonphysical_kaiser_beta_exits_2(tmp_path, capsys, beta):
+    src = tmp_path / "sweep.csv"
+    freqs = np.linspace(3.0e9, 4.2e9, 64)
+    src.write_text(dump_sweep_csv(synth_multipath([(2e-9, 1.0)], freqs)), encoding="utf-8")
+    argv = ["gate", str(src), "--t-start-s", "0", "--t-stop-s", "6e-9", f"--kaiser-beta={beta}"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Kaiser beta" in err and "Traceback" not in err
+
+
 def test_gate_span_error_exits_4(tmp_path):
     freqs = np.linspace(3.0e9, 4.2e9, 401)
     src = tmp_path / "sweep.csv"
@@ -498,12 +509,66 @@ def test_profile_ideal_3bit_requires_line_width(tmp_path, capsys):
     (["--theta-step-deg", "0"], "--theta-step-deg"),
     (["--theta-step-deg", "-1"], "--theta-step-deg"),
     (["--theta-step-deg", "nan"], "--theta-step-deg"),
+    (["--theta-step-deg", "inf"], "--theta-step-deg"),
     (["--theta-start-deg", "10", "--theta-stop-deg", "0"], "--theta-stop-deg"),
 ])
 def test_pattern_bad_theta_grid_exits_2(tmp_path, capsys, theta_flags, named):
     csv_path = write_ideal_3bit_profile(tmp_path / "p.csv", np.linspace(3.3e9, 3.8e9, 5))
     assert cli.main(["pattern", csv_path, "--tiles-x", "1", "--tiles-y", "1", *theta_flags]) == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, named", [
+    ("--phi-az-deg=nan", "phi_az_deg"),
+    ("--phi-az-deg=-inf", "phi_az_deg"),
+    ("--element-exponent=nan", "element_exponent"),
+    ("--element-exponent=inf", "element_exponent"),
+    ("--element-exponent=-1", "element_exponent"),
+])
+def test_pattern_nonphysical_flags_exit_2(tmp_path, capsys, flag, named):
+    csv_path = write_ideal_3bit_profile(tmp_path / "p.csv", np.linspace(3.3e9, 3.8e9, 5))
+    out = tmp_path / "pattern.csv"
+    argv = ["pattern", csv_path, "--tiles-x", "1", "--tiles-y", "1", "--out", str(out), flag]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    # Each value would allocate gigabytes: 1.8e9 angles, 4e6 x 24 cells
+    # (x 8 states in the codebook), or a 64 x 1e9 coarse synthesis scan.
+    (["pattern", "p.csv", "--theta-step-deg", "1e-7"], "--theta-step-deg"),
+    (["pattern", "p.csv", "--theta-start-deg=-1e12"], "--theta-start-deg"),
+    (["pattern", "p.csv", "--tiles-x", "1000000"], "--tiles-x"),
+    (["pattern", "p.csv", "--tiles-y", "1000000"], "--tiles-y"),
+    (["synth", "--line-width-m", "1.5e-3", "--n-band-points", "1000000000"], "--n-band-points"),
+])
+def test_grid_caps_exit_2_before_allocating(monkeypatch, capsys, argv, named):
+    def reached(*args, **kwargs):
+        raise AssertionError("a grid was allocated before its flags were checked")
+
+    # Nothing may be read, built or allocated before the caps are checked.
+    monkeypatch.setattr(cli, "_read_text", reached)
+    monkeypatch.setattr(cli.arr, "build_array", reached)
+    monkeypatch.setattr(cli.loads, "synthesize_stub_lengths", reached)
+    monkeypatch.setattr(np, "arange", reached)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert named in err and "limit" in err
+
+
+def test_grid_caps_admit_the_limits(tmp_path, capsys):
+    csv_path = write_ideal_3bit_profile(tmp_path / "p.csv", np.linspace(3.3e9, 3.8e9, 5))
+    out = tmp_path / "pattern.csv"
+    argv = ["pattern", csv_path, "--tiles-x", str(cli.MAX_TILES), "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert f"tiles: {cli.MAX_TILES}x6" in capsys.readouterr().out
+    step = 180.0 / (cli.MAX_THETA_POINTS - 1)
+    argv = ["pattern", csv_path, "--tiles-x", "1", "--tiles-y", "1",
+            "--theta-step-deg", repr(step), "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert len(out.read_text().splitlines()) == 1 + cli.MAX_THETA_POINTS
 
 
 @pytest.mark.parametrize("band, points, code", [

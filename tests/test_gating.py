@@ -132,6 +132,18 @@ def test_gate_spec_validation():
         GateSpec(0.0, 5e-9, window_shape=1.5)
 
 
+@pytest.mark.parametrize("beta", [float("nan"), float("inf"), -1.0, 1e3])
+def test_gate_spec_rejects_nonphysical_kaiser_beta(beta):
+    with pytest.raises(ValueError, match="Kaiser beta"):
+        GateSpec(0.0, 5e-9, pre_window=beta)
+
+
+def test_gate_at_the_largest_kaiser_beta_is_finite():
+    sweep = synth_multipath([(2e-9, 1.0)], FREQS)
+    out = time_gate(sweep, GateSpec(0.0, 6e-9, pre_window=700.0))
+    assert np.all(np.isfinite(out.values))
+
+
 def test_normalize_plate_identity():
     ref = synth_multipath([(2e-9, 0.8)], FREQS)
     out = normalize_to_plate(ref, ref)
