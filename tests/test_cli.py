@@ -509,8 +509,8 @@ def test_profile_ideal_3bit_requires_line_width(tmp_path, capsys):
     (["--theta-step-deg", "0"], "--theta-step-deg"),
     (["--theta-step-deg", "-1"], "--theta-step-deg"),
     (["--theta-step-deg", "nan"], "--theta-step-deg"),
-    (["--theta-step-deg", "inf"], "--theta-step-deg"),
     (["--theta-start-deg", "10", "--theta-stop-deg", "0"], "--theta-stop-deg"),
+    (["--theta-step-deg", "inf"], "--theta-step-deg"),
 ])
 def test_pattern_bad_theta_grid_exits_2(tmp_path, capsys, theta_flags, named):
     csv_path = write_ideal_3bit_profile(tmp_path / "p.csv", np.linspace(3.3e9, 3.8e9, 5))
