@@ -138,7 +138,8 @@ def array_factor(
 
     Evaluates sum_cells gamma(cell) * exp(+j*k*(x*sin(theta)*cos(phi) +
     y*sin(theta)*sin(phi))) times an optional cos^q(theta) element factor
-    (q = ``element_exponent``, 0 disables it). Output shape is
+    (q = ``element_exponent``, 0 disables it), which is 0 behind the surface
+    (|theta| > 90 degrees). Output shape is
     (len(theta_deg), len(phi_az_deg)) squeezed to 1-D when a single azimuth
     is given. Normalize against its own max for dB plots. On the regular cell
     grid the sum factors as a_y(v)^T G a_x(u) with G the (cells_y, cells_x)
@@ -169,7 +170,8 @@ def array_factor(
     a_y = np.exp(1j * k0 * np.multiply.outer(uy, y[:, 0]))
     af = np.sum((a_y @ gamma_states[state_map]) * a_x, axis=1).reshape(theta.size, phi.size)
     if element_exponent:
-        af = af * np.cos(theta)[:, np.newaxis] ** element_exponent
+        # A reflecting surface radiates into its front half-space only.
+        af = af * np.maximum(np.cos(theta), 0.0)[:, np.newaxis] ** element_exponent
     return af if af.shape[1] > 1 else af[:, 0]
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import array as arr
 from . import gating, loads, metrics, network, touchstone
 from .errors import InputDataError, NumericalError
-from .touchstone import _fmt
+from .touchstone import _csv_text, _fmt, _format_rows
 
 N78_BAND = (3.3e9, 3.8e9)
 DEFAULT_F_CENTER = 3.6e9
@@ -275,11 +275,10 @@ def cmd_pattern(args) -> int:
     mag = np.abs(af)
     af_db = 20.0 * np.log10(np.maximum(mag / np.max(mag), 1e-300))
 
-    csv_lines = [f"# {c}" for c in _stamp_comments(args)]
-    csv_lines.append("theta_deg,phi_deg,af_db")
-    for th, v in zip(theta_grid, af_db):
-        csv_lines.append(f"{_fmt(th)},{_fmt(args.phi_az_deg)},{_fmt(v)}")
-    pattern_csv = "\n".join(csv_lines) + "\n"
+    pattern_csv = _csv_text(
+        "theta_deg,phi_deg,af_db", _stamp_comments(args),
+        _format_rows(f"%.12g,{_fmt(args.phi_az_deg)},%.12g\n", theta_grid, af_db),
+    )
 
     if args.state_map_out is not None:
         if args.state_map_out.endswith(".json"):
@@ -459,6 +458,9 @@ _EXIT_CODES = (
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        f_center = getattr(args, "f_center_hz", DEFAULT_F_CENTER)
+        if not math.isfinite(f_center):
+            raise UsageError(f"--f-center-hz must be finite, got {f_center}")
         return args.func(args)
     except (UsageError, NumericalError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

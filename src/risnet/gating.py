@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GateSpanError, InputDataError, ReferenceLevelError, SweepGridError
-from .touchstone import PortNetwork, _csv_rows
+from .touchstone import PortNetwork, _csv_blocks, _csv_text, _format_rows, _read_numbers
 
 # Zero-padding factor applied before the time-domain transform.
 _PAD_FACTOR = 4
@@ -187,22 +187,23 @@ def sweep_to_network(sweep: Sweep, reference_impedance: float = 50.0) -> PortNet
     )
 
 
+def _sweep_row(line_no: int, fields: list) -> list:
+    fields = [f.strip() for f in fields]
+    try:
+        return [float(f) for f in fields]
+    except ValueError:
+        raise SweepGridError(f"non-numeric field in '{','.join(fields)}'", line_no) from None
+
+
 def load_sweep_csv(text: str) -> Sweep:
     """Read a sweep from CSV with header ``freq_hz,re,im`` (# comments ignored)."""
-    freqs = []
-    values = []
-    for line_no, fields in _csv_rows(text, SWEEP_CSV_HEADER, SweepGridError):
-        try:
-            freqs.append(float(fields[0]))
-            values.append(float(fields[1]) + 1j * float(fields[2]))
-        except ValueError:
-            raise SweepGridError(f"non-numeric field in '{','.join(fields)}'", line_no) from None
-    return Sweep(frequencies=np.array(freqs), values=np.array(values))
+    values, _, _ = _read_numbers(_csv_blocks(text, SWEEP_CSV_HEADER, SweepGridError), _sweep_row)
+    table = values.reshape(-1, 3)
+    with np.errstate(invalid="ignore"):  # 1j * inf; Sweep rejects the result
+        return Sweep(frequencies=table[:, 0], values=table[:, 1] + 1j * table[:, 2])
 
 
 def dump_sweep_csv(sweep: Sweep, comments: tuple = ()) -> str:
-    lines = [f"# {c}" for c in comments]
-    lines.append(SWEEP_CSV_HEADER)
-    for f, v in zip(sweep.frequencies, sweep.values):
-        lines.append(f"{f:.12g},{v.real:.12g},{v.imag:.12g}")
-    return "\n".join(lines) + "\n"
+    body = _format_rows("%.12g,%.12g,%.12g\n", sweep.frequencies, sweep.values.real,
+                        sweep.values.imag)
+    return _csv_text(SWEEP_CSV_HEADER, comments, body)

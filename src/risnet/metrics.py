@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FrequencyRangeError
-from .touchstone import ReflectionProfile
+from .touchstone import ReflectionProfile, _csv_text, _format_rows
 
 # Maximum allowed sigma (degrees) per nominal resolution; used verbatim.
 SIGMA_THRESHOLD_DEG = {1: 65.0, 2: 32.5, 3: 16.25}
@@ -72,10 +72,9 @@ class BandwidthReport:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
     def to_csv(self) -> str:
-        lines = ["freq_hz,sigma_deg,nbit_eff"]
-        for f, s, n in zip(self.frequencies, self.sigma_deg, self.n_bit_eff):
-            lines.append(f"{f:.12g},{s:.12g},{n:.12g}")
-        return "\n".join(lines) + "\n"
+        body = _format_rows("%.12g,%.12g,%.12g\n", self.frequencies, self.sigma_deg,
+                            self.n_bit_eff)
+        return _csv_text("freq_hz,sigma_deg,nbit_eff", (), body)
 
 
 def circular_gaps(phases_deg) -> np.ndarray:

@@ -1,16 +1,24 @@
-"""Touchstone v1 S-parameter files and per-state reflection CSV ingestion.
+"""Touchstone v1 S-parameter files, per-state reflection CSV, and the numeric
+text layer that every risnet file format goes through.
 
 Supports 1- and 2-port networks in RI, MA, and DB formats with Hz/kHz/MHz/GHz
-frequency units. Version-2 keyword files are rejected. The state CSV format
-(header ``freq_hz,state,mag_db,phase_deg``) carries measured or computed
+frequency units; a 2-port noise-parameter block is skipped. Version-2 keyword
+files are rejected. The state CSV format (header
+``freq_hz,state,mag_db,phase_deg``) carries measured or computed
 per-switching-state reflection coefficients on a complete state-by-frequency
 grid.
+
+Readers make a structural pass per line, then convert numeric tokens in
+blocks of ``_BLOCK_ROWS`` rows (:func:`_read_numbers`); only a block that
+fails is read again line by line, to name the line at fault. Writers format
+all rows of a table with one ``%`` operation (:func:`_format_rows`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -18,6 +26,9 @@ from .errors import FrequencyRangeError, InputDataError, StateCsvError, Touchsto
 
 _FREQ_SCALE = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 _FORMATS = ("ri", "ma", "db")
+# Touchstone v1 2-port column order S11 S21 S12 S22, as flat (row-major)
+# indices into a 2x2 S-matrix; a 1-port uses the first entry only.
+_COLUMN_ORDER = [0, 2, 1, 3]
 
 STATE_CSV_HEADER = "freq_hz,state,mag_db,phase_deg"
 
@@ -26,6 +37,10 @@ _DB_FLOOR = -600.0
 
 # State labels are read through a float table; this bound keeps them exact.
 _MAX_STATE = 2**31
+
+# Rows per numeric block in the readers: one np.array call converts a block's
+# tokens, and a few thousand rows keep that token list small next to the text.
+_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -198,105 +213,171 @@ def _pairs_to_complex(a: np.ndarray, b: np.ndarray, fmt: str) -> np.ndarray:
     return 10.0 ** (a / 20.0) * np.exp(1j * np.deg2rad(b))
 
 
+def _read_numbers(blocks, per_line, refine=None):
+    """Float values of the numeric rows in ``blocks``.
+
+    Each block is ``(line_nos, counts, tokens)``: a few rows' line numbers,
+    token counts and concatenated tokens. Returns ``(values, counts,
+    line_nos)`` over all rows. A block's tokens are converted with one
+    ``np.array(tokens, dtype=float)``; ``refine(tokens, values)`` may then
+    adjust the values in place and raises ``ValueError`` on a row the format
+    forbids. A block that fails either step goes through
+    ``per_line(line_no, row_tokens)`` row by row, which returns the row's
+    values or raises the error naming its line.
+    """
+    chunks, all_counts, all_line_nos = [], [], []
+    for line_nos, counts, tokens in blocks:
+        try:
+            values = np.array(tokens, dtype=float)
+            if refine is not None:
+                refine(tokens, values)
+        except (ValueError, OverflowError):
+            ends = list(accumulate(counts))
+            values = np.array([
+                v for n, end, c in zip(line_nos, ends, counts)
+                for v in per_line(n, tokens[end - c:end])
+            ], dtype=float)
+        chunks.append(values)
+        all_counts.append(np.array(counts, dtype=np.int64))
+        all_line_nos.append(np.array(line_nos, dtype=np.int64))
+    return np.concatenate(chunks), np.concatenate(all_counts), np.concatenate(all_line_nos)
+
+
+def _touchstone_row(line_no: int, tokens: list) -> list:
+    values = []
+    for tok in tokens:
+        try:
+            values.append(float(tok))
+        except ValueError:
+            raise TouchstoneParseError(f"non-numeric token '{tok}'", line_no) from None
+    return values
+
+
 def parse_touchstone(text: str) -> PortNetwork:
     """Parse Touchstone v1 text into a :class:`PortNetwork`.
 
     Defaults to GHz / S / MA / R 50 for omitted option-line fields. Data
     lines must hold 3 values (1-port) or 9 values (2-port, column order
     S11 S21 S12 S22). Frequencies must be strictly increasing; they are
-    never reordered. All errors carry the offending line number.
+    never reordered. In a 2-port file, a 5-value record whose frequency is
+    not above the previous one starts the noise-parameter block, which runs
+    to the end of the file with 5 values per record and is skipped. All
+    errors carry the offending line number.
     """
-    option = None
-    records = []  # (line_no, values)
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("!"):
-            continue
-        if line.startswith("["):
-            raise TouchstoneParseError(
-                f"Touchstone v2 keyword '{line.split()[0]}' not supported "
-                "(this reader accepts v1 only)",
-                line_no,
-            )
-        if line.startswith("#"):
-            if option is not None:
-                raise TouchstoneParseError("duplicate option line", line_no)
-            option = _parse_option_line(line, line_no)
-            continue
-        if "!" in line:
-            line = line.split("!", 1)[0].strip()
-            if not line:
-                continue
-        if option is None:
-            raise TouchstoneParseError("data before option line", line_no)
-        values = []
-        for tok in line.split():
-            try:
-                values.append(float(tok))
-            except ValueError:
-                raise TouchstoneParseError(f"non-numeric token '{tok}'", line_no) from None
-        records.append((line_no, values))
+    option = []
 
-    if option is None:
+    def blocks():
+        """Data rows in blocks; on a fault, the rows before it come first."""
+        line_nos, counts, tokens = [], [], []
+        try:
+            for line_no, raw in enumerate(text.splitlines(), start=1):
+                line = raw.strip()
+                if not line or line.startswith("!"):
+                    continue
+                if line.startswith("["):
+                    raise TouchstoneParseError(
+                        f"Touchstone v2 keyword '{line.split()[0]}' not supported "
+                        "(this reader accepts v1 only)",
+                        line_no,
+                    )
+                if line.startswith("#"):
+                    if option:
+                        raise TouchstoneParseError("duplicate option line", line_no)
+                    option.append(_parse_option_line(line, line_no))
+                    continue
+                if "!" in line:
+                    line = line.split("!", 1)[0].strip()
+                    if not line:
+                        continue
+                if not option:
+                    raise TouchstoneParseError("data before option line", line_no)
+                fields = line.split()
+                line_nos.append(line_no)
+                counts.append(len(fields))
+                tokens += fields
+                if len(line_nos) == _BLOCK_ROWS:
+                    yield line_nos, counts, tokens
+                    line_nos, counts, tokens = [], [], []
+        except TouchstoneParseError:
+            yield line_nos, counts, tokens
+            raise
+        yield line_nos, counts, tokens
+
+    values, counts, line_nos = _read_numbers(blocks(), _touchstone_row)
+    if not option:
         raise TouchstoneParseError("missing option line", 1)
-    if not records:
+    if not counts.size:
         raise TouchstoneParseError("no data records", 1)
 
-    unit, fmt, z0 = option
-    n_values = len(records[0][1])
-    if n_values == 3:
-        n_ports = 1
-    elif n_values == 9:
-        n_ports = 2
-    else:
+    unit, fmt, z0 = option[0]
+    n_values = int(counts[0])
+    n_ports = {3: 1, 9: 2}.get(n_values)
+    if n_ports is None:
         raise TouchstoneParseError(
             f"expected 3 (1-port) or 9 (2-port) values per record, got {n_values}",
-            records[0][0],
+            int(line_nos[0]),
         )
 
-    freqs = np.empty(len(records))
-    raw = np.empty((len(records), n_values - 1))
-    prev_f = -np.inf
-    for k, (line_no, values) in enumerate(records):
-        if len(values) != n_values:
+    f_hz = values[np.cumsum(counts) - counts] * _FREQ_SCALE[unit]
+    odd = np.flatnonzero(counts != n_values)
+    n_points = int(odd[0]) if odd.size else counts.size
+    falling = np.flatnonzero(f_hz[:n_points] <= np.append(-np.inf, f_hz[:n_points - 1]))
+    if falling.size:
+        raise TouchstoneParseError(
+            "frequencies must be strictly increasing", int(line_nos[falling[0]])
+        )
+    if n_points < counts.size:
+        k = n_points
+        if not (n_ports == 2 and counts[k] == 5 and f_hz[k] <= f_hz[k - 1]):
             raise TouchstoneParseError(
-                f"expected {n_values} values per record, got {len(values)}", line_no
+                f"expected {n_values} values per record, got {counts[k]}", int(line_nos[k])
             )
-        f_hz = values[0] * _FREQ_SCALE[unit]
-        if f_hz <= prev_f:
+        bad = np.flatnonzero(counts[k:] != 5)
+        if bad.size:
             raise TouchstoneParseError(
-                "frequencies must be strictly increasing", line_no
+                f"expected 5 values per noise-parameter record, got {counts[k + bad[0]]}",
+                int(line_nos[k + bad[0]]),
             )
-        prev_f = f_hz
-        freqs[k] = f_hz
-        raw[k] = values[1:]
 
+    raw = values[:n_points * n_values].reshape(n_points, n_values)[:, 1:]
     cplx = _pairs_to_complex(raw[:, 0::2], raw[:, 1::2], fmt)
-    s = np.empty((len(records), n_ports, n_ports), dtype=complex)
-    if n_ports == 1:
-        s[:, 0, 0] = cplx[:, 0]
-    else:
-        # Touchstone v1 2-port column order: S11 S21 S12 S22
-        s[:, 0, 0] = cplx[:, 0]
-        s[:, 1, 0] = cplx[:, 1]
-        s[:, 0, 1] = cplx[:, 2]
-        s[:, 1, 1] = cplx[:, 3]
-    return PortNetwork(n_ports=n_ports, reference_impedance=z0, frequencies=freqs, s=s)
+    s = np.ascontiguousarray(cplx[:, _COLUMN_ORDER[:n_ports**2]])
+    s = s.reshape(n_points, n_ports, n_ports)
+    return PortNetwork(n_ports=n_ports, reference_impedance=z0, frequencies=f_hz[:n_points], s=s)
 
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _value_fields(v: complex, fmt: str) -> tuple:
+def _format_rows(row_format: str, *columns) -> str:
+    """One ``row_format`` line per row of ``columns``, formatted in one ``%``.
+
+    ``row_format`` holds one %-field per column and ends in a newline; a
+    ``%.12g`` field prints a float exactly as :func:`_fmt` does.
+    """
+    k = len(columns)
+    flat = [None] * (k * len(columns[0]))
+    for j, col in enumerate(columns):
+        flat[j::k] = col.tolist() if isinstance(col, np.ndarray) else col
+    return (row_format * len(columns[0])) % tuple(flat)
+
+
+def _polar_columns(v: np.ndarray, fmt: str) -> tuple:
+    """Two columns of ``v`` in format ``fmt`` (RI, MA or DB), angles in degrees.
+
+    An exact zero gets angle 0 and, in DB, the ``_DB_FLOOR`` magnitude.
+    """
     if fmt == "ri":
-        return _fmt(v.real), _fmt(v.imag)
-    mag = abs(v)
-    ang = float(np.angle(v, deg=True)) if mag > 0 else 0.0
+        return v.real, v.imag
+    # hypot rounds exactly like the scalar abs(); np.abs can differ in the last bit
+    mag = np.hypot(v.real, v.imag)
+    live = mag > 0
+    ang = np.where(live, np.angle(v, deg=True), 0.0)
     if fmt == "ma":
-        return _fmt(mag), _fmt(ang)
-    db = 20.0 * np.log10(mag) if mag > 0 else _DB_FLOOR
-    return _fmt(db), _fmt(ang)
+        return mag, ang
+    with np.errstate(divide="ignore"):
+        return np.where(live, 20.0 * np.log10(mag), _DB_FLOOR), ang
 
 
 def serialize_touchstone(net: PortNetwork, format: str = "RI", freq_unit: str = "GHz",
@@ -313,59 +394,89 @@ def serialize_touchstone(net: PortNetwork, format: str = "RI", freq_unit: str = 
         raise ValueError(f"unknown format '{format}' (use RI, MA or DB)")
     if unit not in _FREQ_SCALE:
         raise ValueError(f"unknown frequency unit '{freq_unit}'")
-    scale = _FREQ_SCALE[unit]
+    if net.n_ports > 2:
+        raise ValueError("only 1- and 2-port networks can be serialized")
+    entries = net.s.reshape(net.frequencies.size, -1)[:, _COLUMN_ORDER[:net.n_ports**2]]
     unit_label = {"hz": "Hz", "khz": "kHz", "mhz": "MHz", "ghz": "GHz"}[unit]
-
-    lines = [f"! {c}" for c in comments]
-    lines.append(f"# {unit_label} S {fmt.upper()} R {_fmt(net.reference_impedance)}")
-    for k, f_hz in enumerate(net.frequencies):
-        fields = [_fmt(f_hz / scale)]
-        if net.n_ports == 1:
-            entries = (net.s[k, 0, 0],)
-        elif net.n_ports == 2:
-            m = net.s[k]
-            entries = (m[0, 0], m[1, 0], m[0, 1], m[1, 1])
-        else:
-            raise ValueError("only 1- and 2-port networks can be serialized")
-        for v in entries:
-            fields.extend(_value_fields(v, fmt))
-        lines.append(" ".join(fields))
-    return "\n".join(lines) + "\n"
+    columns = [net.frequencies / _FREQ_SCALE[unit]]
+    for v in entries.T:
+        columns.extend(_polar_columns(v, fmt))
+    head = "".join(f"! {c}\n" for c in comments)
+    head += f"# {unit_label} S {fmt.upper()} R {_fmt(net.reference_impedance)}\n"
+    return head + _format_rows("%.12g" + " %.12g %.12g" * len(entries.T) + "\n", *columns)
 
 
-def _csv_rows(text: str, header: str, error):
-    """Yield ``(line_no, fields)`` for each data row of a headed CSV text.
+def _csv_blocks(text: str, header: str, error):
+    """Yield the data rows of a headed CSV text as ``_read_numbers`` blocks.
 
     Blank lines and ``#`` comment lines are skipped. The first other line
     must equal ``header`` (fields compared after stripping); every later
-    line is split on commas into stripped fields and must have as many
-    fields as the header. Violations raise ``error(message, line_no)``.
+    line is split on commas into fields, left unstripped, and must have as
+    many fields as the header. Violations raise ``error(message, line_no)``
+    after the rows before them have been yielded.
     """
     names = header.split(",")
+    width = len(names)
+    lines = text.splitlines()
     header_seen = False
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        if not header_seen:
-            if fields != names:
-                raise error(f"expected header '{header}', got '{line}'", line_no)
+    for start in range(0, len(lines), _BLOCK_ROWS):
+        chunk = list(map(str.strip, lines[start:start + _BLOCK_ROWS]))
+        rows = [s for s in chunk if s and s[0] != "#"]
+        if len(rows) == len(chunk):
+            line_nos = range(start + 1, start + 1 + len(chunk))
+        else:
+            line_nos = [start + 1 + k for k, s in enumerate(chunk) if s and s[0] != "#"]
+        if rows and not header_seen:
+            if [f.strip() for f in rows[0].split(",")] != names:
+                raise error(f"expected header '{header}', got '{rows[0]}'", line_nos[0])
             header_seen = True
-            continue
-        if len(fields) != len(names):
+            rows, line_nos = rows[1:], line_nos[1:]
+        commas = list(map(str.count, rows, repeat(",")))
+        if commas.count(width - 1) != len(rows):
+            bad = next(k for k, c in enumerate(commas) if c != width - 1)
+            yield line_nos[:bad], [width] * bad, ",".join(rows[:bad]).split(",") if bad else []
             raise error(
-                f"expected {len(names)} comma-separated fields, got {len(fields)}", line_no
+                f"expected {width} comma-separated fields, got {commas[bad] + 1}", line_nos[bad]
             )
-        yield line_no, fields
+        yield line_nos, [width] * len(rows), ",".join(rows).split(",") if rows else []
     if not header_seen:
         raise error("missing header line", 1)
+
+
+def _csv_text(header: str, comments: tuple, body: str) -> str:
+    """Comment lines, the header line and the formatted rows of a CSV text."""
+    return "".join(f"# {c}\n" for c in comments) + header + "\n" + body
 
 
 def _sorted_unique(x: np.ndarray) -> np.ndarray:
     """``np.unique`` without its first-call import of ``numpy.ma`` (about 1 MB)."""
     s = np.sort(x)
     return s[np.concatenate(([True], s[1:] != s[:-1]))]
+
+
+def _state_row(line_no: int, fields: list) -> tuple:
+    fields = [f.strip() for f in fields]
+    try:
+        f_hz, mag_db, phase_deg = float(fields[0]), float(fields[2]), float(fields[3])
+        state = int(fields[1])
+    except ValueError:
+        raise StateCsvError(f"non-numeric field in '{','.join(fields)}'", line_no) from None
+    if state < 0:
+        raise StateCsvError(f"negative state index {state}", line_no)
+    if state >= _MAX_STATE:
+        raise StateCsvError(f"state index {state} out of range", line_no)
+    if not math.isfinite(f_hz):
+        raise StateCsvError(f"non-finite frequency {fields[0]}", line_no)
+    return f_hz, state, mag_db, phase_deg
+
+
+def _state_labels(tokens: list, values: np.ndarray):
+    """Cast a block's state column to integers and check it as :func:`_state_row` does."""
+    states = np.array(tokens[1::4], dtype=np.int64)
+    table = values.reshape(-1, 4)
+    if not (np.all((states >= 0) & (states < _MAX_STATE)) and np.all(np.isfinite(table[:, 0]))):
+        raise ValueError("state row out of range")
+    table[:, 1] = states
 
 
 def load_state_csv(text: str) -> ReflectionProfile:
@@ -375,27 +486,13 @@ def load_state_csv(text: str) -> ReflectionProfile:
     are ignored. Rows must cover the complete state-by-frequency grid with
     no duplicates. Gamma is reconstructed as 10^(mag_db/20) * exp(j*phase).
     """
-    rows = []
-    for line_no, fields in _csv_rows(text, STATE_CSV_HEADER, StateCsvError):
-        try:
-            f_hz, mag_db, phase_deg = float(fields[0]), float(fields[2]), float(fields[3])
-            state = int(fields[1])
-        except ValueError:
-            raise StateCsvError(f"non-numeric field in '{','.join(fields)}'", line_no) from None
-        if state < 0:
-            raise StateCsvError(f"negative state index {state}", line_no)
-        if state >= _MAX_STATE:
-            raise StateCsvError(f"state index {state} out of range", line_no)
-        if not math.isfinite(f_hz):
-            raise StateCsvError(f"non-finite frequency {fields[0]}", line_no)
-        rows.extend((f_hz, state, mag_db, phase_deg))
-    if not rows:
+    values, _, line_nos = _read_numbers(
+        _csv_blocks(text, STATE_CSV_HEADER, StateCsvError), _state_row, _state_labels
+    )
+    if not line_nos.size:
         raise StateCsvError("no data rows", 1)
 
-    table = np.array(rows).reshape(-1, 4)
-    # The row floats are the largest allocation here; release them before
-    # the array work so the two peaks do not add up.
-    del rows
+    table = values.reshape(-1, 4)
     freqs = _sorted_unique(table[:, 0])
     states = _sorted_unique(table[:, 1])
     k = np.searchsorted(freqs, table[:, 0])
@@ -405,9 +502,8 @@ def load_state_csv(text: str) -> ReflectionProfile:
     repeats = order[1:][cell[order[1:]] == cell[order[:-1]]]
     if repeats.size:
         r = int(repeats.min())
-        line_no = [n for n, _ in _csv_rows(text, STATE_CSV_HEADER, StateCsvError)][r]
         raise StateCsvError(
-            f"duplicate row for state {int(table[r, 1])} at {table[r, 0]} Hz", line_no
+            f"duplicate row for state {int(table[r, 1])} at {table[r, 0]} Hz", int(line_nos[r])
         )
     if cell.size != states.size * freqs.size:
         filled = np.zeros(states.size * freqs.size, dtype=bool)
@@ -430,17 +526,8 @@ def load_state_csv(text: str) -> ReflectionProfile:
 def dump_state_csv(profile: ReflectionProfile, comments: tuple = ()) -> str:
     """Render a profile as state CSV text (inverse of :func:`load_state_csv`)."""
     f_text = [_fmt(f_hz) for f_hz in profile.frequencies.tolist()]
-    lines = [f"# {c}" for c in comments]
-    lines.append(STATE_CSV_HEADER)
-    for state, g in zip(profile.states, profile.gamma):
-        # hypot rounds exactly like the scalar abs(); np.abs can differ in the last bit
-        mag = np.hypot(g.real, g.imag)
-        live = mag > 0
-        with np.errstate(divide="ignore"):
-            mag_db = np.where(live, 20.0 * np.log10(mag), _DB_FLOOR)
-        phase = np.where(live, np.angle(g, deg=True), 0.0)
-        lines.extend(
-            f"{f_s},{state},{_fmt(m)},{_fmt(a)}"
-            for f_s, m, a in zip(f_text, mag_db.tolist(), phase.tolist())
-        )
-    return "\n".join(lines) + "\n"
+    body = "".join(
+        _format_rows(f"%s,{state},%.12g,%.12g\n", f_text, *_polar_columns(g, "db"))
+        for state, g in zip(profile.states, profile.gamma)
+    )
+    return _csv_text(STATE_CSV_HEADER, comments, body)

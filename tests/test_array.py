@@ -155,6 +155,18 @@ def test_array_factor_element_factor_default():
     np.testing.assert_allclose(np.abs(af_q1[0]) / np.abs(af_q0[0]), 0.5, rtol=1e-9)
 
 
+@pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
+def test_element_factor_is_zero_behind_the_surface(q):
+    # cos(theta) < 0 beyond 90 degrees; a fractional power of it would be NaN.
+    layout = build_array(1, 1, 1)
+    state_map = np.zeros((4, 4), int)
+    theta = np.arange(-120.0, 120.5, 0.5)
+    af = array_factor(layout, state_map, np.ones(2, complex), F, theta, element_exponent=q)
+    assert np.all(np.isfinite(af))
+    behind = np.abs(theta) > 90.0
+    assert np.all(af[behind] == 0) and np.all(af[~behind] != 0)
+
+
 def test_array_factor_shape_validation():
     layout = build_array(1, 1, 1)
     with pytest.raises(ValueError, match="shape"):

@@ -535,6 +535,36 @@ def test_pattern_nonphysical_flags_exit_2(tmp_path, capsys, flag, named):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("sub", ["profile", "synth", "bandwidth", "pattern"])
+def test_non_finite_f_center_exits_2(tmp_path, capsys, sub, value):
+    csv_path = write_ideal_3bit_profile(tmp_path / "p.csv", np.linspace(3.3e9, 3.8e9, 5))
+    s2p = write_thru_s2p(tmp_path / "thru.s2p")
+    argv = {
+        "profile": ["profile", s2p, "--loads", "ideal-1bit"],
+        "synth": ["synth", "--line-width-m", "1.5e-3"],
+        "bandwidth": ["bandwidth", csv_path],
+        "pattern": ["pattern", csv_path, "--tiles-x", "1", "--tiles-y", "1"],
+    }[sub]
+    assert cli.main([*argv, f"--f-center-hz={value}"]) == 2
+    err = capsys.readouterr().err
+    assert f"--f-center-hz must be finite, got {float(value)}" in err
+    assert "Traceback" not in err
+
+
+def test_pattern_cut_behind_the_surface_reads_the_floor(tmp_path, capsys):
+    csv_path = write_ideal_3bit_profile(tmp_path / "p.csv", np.linspace(3.3e9, 3.8e9, 5))
+    out = tmp_path / "pattern.csv"
+    assert cli.main(["pattern", csv_path, "--tiles-x", "1", "--tiles-y", "1", "--out", str(out),
+                     "--theta-stop-deg", "120", "--element-exponent", "0.5"]) == 0
+    rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+    assert len(rows) == 421
+    theta = np.array([float(r[0]) for r in rows])
+    af_db = np.array([float(r[2]) for r in rows])
+    assert np.all(np.isfinite(af_db))
+    assert np.all(af_db[theta > 90] == -6000.0) and np.all(af_db[theta <= 90] > -6000.0)
+
+
 @pytest.mark.parametrize("argv, named", [
     # Each value would allocate gigabytes: 1.8e9 angles, 4e6 x 24 cells
     # (x 8 states in the codebook), or a 64 x 1e9 coarse synthesis scan.

@@ -17,6 +17,16 @@ def make_two_port(freqs, entries):
     return PortNetwork(n_ports=2, reference_impedance=50.0, frequencies=np.asarray(freqs), s=s)
 
 
+NOISY_S2P = (
+    "# GHz S MA R 50\n"
+    "3.0 0.1 10 0.9 -20 0.9 -20 0.2 30\n"
+    "3.5 0.1 11 0.9 -21 0.9 -21 0.2 31\n"
+    "! noise parameters: freq, NFmin dB, |Gamma_opt|, angle, Rn/Z0\n"
+    "3.0 1.5 0.30 45 0.20\n"
+    "3.5 1.6 0.31 46 0.21 ! inline\n"
+)
+
+
 def test_parse_ma_one_port():
     net = parse_touchstone("# GHz S MA R 50\n3.6 1.0 180.0\n")
     assert net.n_ports == 1
@@ -70,6 +80,15 @@ def test_parse_comments_and_inline_comments():
         ("[Version] 2.0\n# Hz S RI R 50\n1 0 0\n", "v2 keyword", 1),
         ("# Hz S RI R 50\n1 zz 0\n", "non-numeric", 2),
         ("# Hz S RI R -50\n1 0 0\n", "impedance", 1),
+        # a noise-parameter record must hold 5 values, and S-data may not follow
+        (NOISY_S2P.replace("3.5 1.6 0.31 46 0.21", "3.5 1.6 0.31 46"),
+         "expected 5 values per noise-parameter record, got 4", 6),
+        (NOISY_S2P + "4.0 0.1 11 0.9 -21 0.9 -21 0.2 31\n",
+         "expected 5 values per noise-parameter record, got 9", 7),
+        # a 5-value record above the last S frequency starts no noise block
+        (NOISY_S2P.replace("3.0 1.5", "4.0 1.5"), "expected 9 values per record, got 5", 5),
+        # a 1-port file has no noise block
+        ("# GHz S RI R 50\n3.0 0.1 0.2\n2.0 1 2 3 4\n", "expected 3 values per record, got 5", 3),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, fragment, line):
@@ -220,6 +239,10 @@ def test_profile_at_frequency_interpolates():
     ("1e9,-1,0,0", 6, "negative state index -1"),
     ("1e9,4294967296,0,0", 6, "out of range"),
     ("inf,1,0,0", 6, "non-finite frequency"),
+    ("1e9,1.0,0,0", 6, "non-numeric field in '1e9,1.0,0,0'"),
+    ("1e9,1e0,0,0", 6, "non-numeric field in '1e9,1e0,0,0'"),
+    ("1e9,2147483648,0,0", 6, "state index 2147483648 out of range"),
+    ("1e9,99999999999999999999,0,0", 6, "state index 99999999999999999999 out of range"),
 ])
 def test_load_state_csv_errors_name_the_line(bad_row, line, fragment):
     text = "# c\nfreq_hz,state,mag_db,phase_deg\n\n1e9,0,0,0\n# c\n" + bad_row + "\n2e9,1,0,0\n"
@@ -235,3 +258,40 @@ def test_load_state_csv_row_order_is_free():
     assert shuffled.states == ordered.states
     np.testing.assert_array_equal(shuffled.frequencies, ordered.frequencies)
     np.testing.assert_array_equal(shuffled.gamma, ordered.gamma)
+
+
+# The noise block may start below or at the last S-parameter frequency.
+@pytest.mark.parametrize("text", [NOISY_S2P, NOISY_S2P.replace("3.0 1.5", "3.5 1.5")])
+def test_two_port_noise_block_is_skipped(text):
+    net = parse_touchstone(text)
+    clean = parse_touchstone(NOISY_S2P.split("! noise")[0])
+    np.testing.assert_array_equal(net.frequencies, [3.0e9, 3.5e9])
+    np.testing.assert_array_equal(net.s, clean.s)
+
+
+@pytest.mark.parametrize("numeric_row", [1500, 1000])
+def test_state_csv_reports_the_first_faulty_line(numeric_row):
+    # A non-numeric field before a field-count fault, in the same numeric
+    # block (rows 1024-2047) or in an earlier one: the earlier line is reported.
+    rows = [f"{3e9 + k:.12g},0,0,0" for k in range(3000)]
+    rows[1600] = "1,2,3"
+    rows[numeric_row] = "x,0,0,0"
+    with pytest.raises(StateCsvError) as exc:
+        load_state_csv("freq_hz,state,mag_db,phase_deg\n" + "\n".join(rows) + "\n")
+    assert exc.value.line == numeric_row + 2
+    assert "non-numeric field in 'x,0,0,0'" in str(exc.value)
+
+
+@pytest.mark.parametrize("fault", ["# GHz S RI R 50", "[Version] 2.0", "1 2 3 4 5 6 7"])
+def test_touchstone_reports_the_first_faulty_line(fault):
+    lines = ["# Hz S RI R 50"] + [f"{k + 1} 0 0" for k in range(2000)]
+    lines[1500] = "1500 0 zz"
+    lines[1800] = fault
+    with pytest.raises(TouchstoneParseError) as exc:
+        parse_touchstone("\n".join(lines) + "\n")
+    assert exc.value.line == 1501 and "non-numeric token 'zz'" in str(exc.value)
+
+
+def test_state_labels_accept_what_int_accepts():
+    text = "freq_hz,state,mag_db,phase_deg\n3e9, +0 ,0,0\n3e9,0_1,0,0\n"
+    assert load_state_csv(text).states == (0, 1)
