@@ -87,8 +87,9 @@ def build_array(tiles_x: int, tiles_y: int, resolution_bits: int) -> ArrayLayout
     return ArrayLayout(tiles_x=tiles_x, tiles_y=tiles_y, resolution_bits=resolution_bits)
 
 
-def _circular_distance_deg(a, b):
-    return np.abs((np.asarray(a) - np.asarray(b) + 180.0) % 360.0 - 180.0)
+def _wrap180(deg):
+    """Phase differences (degrees) wrapped into [-180, 180)."""
+    return (np.asarray(deg) + 180.0) % 360.0 - 180.0
 
 
 def steering_codebook(layout: ArrayLayout, gamma_states, direction, f: float) -> tuple:
@@ -119,7 +120,7 @@ def steering_codebook(layout: ArrayLayout, gamma_states, direction, f: float) ->
     psi = np.rad2deg(-k0 * np.sin(theta) * (x * np.cos(phi) + y * np.sin(phi))) % 360.0
 
     state_phases = np.angle(gamma_states, deg=True)
-    dist = _circular_distance_deg(psi[..., np.newaxis], state_phases[np.newaxis, np.newaxis, :])
+    dist = np.abs(_wrap180(psi[..., np.newaxis] - state_phases[np.newaxis, np.newaxis, :]))
     state_map = np.argmin(dist, axis=-1).astype(int)
     residual = np.min(dist, axis=-1)
     return state_map, residual

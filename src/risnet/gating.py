@@ -15,7 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GateSpanError, InputDataError, ReferenceLevelError, SweepGridError
-from .touchstone import PortNetwork, _csv_blocks, _csv_text, _format_rows, _read_numbers
+from .touchstone import (
+    PortNetwork,
+    _csv_blocks,
+    _csv_text,
+    _format_rows,
+    _frequency_grid,
+    _read_numbers,
+    _reject_rows,
+)
 
 # Zero-padding factor applied before the time-domain transform.
 _PAD_FACTOR = 4
@@ -43,14 +51,11 @@ class Sweep:
             raise SweepGridError(f"need at least 8 sweep points, got {f.size}")
         if v.shape != f.shape:
             raise SweepGridError("values and frequencies must have the same length")
-        steps = np.diff(f)
-        if np.any(steps <= 0):
-            raise SweepGridError("frequencies must be strictly increasing")
+        steps = np.diff(_frequency_grid(f, SweepGridError))
         mean_step = float(np.mean(steps))
         if np.any(np.abs(steps - mean_step) > 1e-6 * mean_step):
             raise SweepGridError("frequency grid must be uniform (within 1e-6 relative)")
-        if not np.all(np.isfinite(v.view(float))):
-            raise SweepGridError("sweep values must be finite")
+        _reject_rows(~np.isfinite(v), SweepGridError, "sweep values must be finite")
         object.__setattr__(self, "frequencies", f)
         object.__setattr__(self, "values", v)
 
@@ -196,11 +201,18 @@ def _sweep_row(line_no: int, fields: list) -> list:
 
 
 def load_sweep_csv(text: str) -> Sweep:
-    """Read a sweep from CSV with header ``freq_hz,re,im`` (# comments ignored)."""
-    values, _, _ = _read_numbers(_csv_blocks(text, SWEEP_CSV_HEADER, SweepGridError), _sweep_row)
+    """Read a sweep from CSV with header ``freq_hz,re,im`` (# comments ignored).
+
+    Row faults name their line, and are looked for before those of the whole sweep.
+    """
+    blocks = _csv_blocks(text, SWEEP_CSV_HEADER, SweepGridError)
+    values, _, line_nos = _read_numbers(blocks, _sweep_row)
     table = values.reshape(-1, 3)
-    with np.errstate(invalid="ignore"):  # 1j * inf; Sweep rejects the result
-        return Sweep(frequencies=table[:, 0], values=table[:, 1] + 1j * table[:, 2])
+    if line_nos.size:  # an empty sweep is Sweep's to report
+        _frequency_grid(table[:, 0], SweepGridError, line_nos)
+    re_im = table[:, 1:]
+    _reject_rows(~np.isfinite(re_im), SweepGridError, "sweep values must be finite", line_nos)
+    return Sweep(frequencies=table[:, 0], values=re_im[:, 0] + 1j * re_im[:, 1])
 
 
 def dump_sweep_csv(sweep: Sweep, comments: tuple = ()) -> str:

@@ -15,10 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array import C0
-from .errors import ConvergenceError, FrequencyRangeError, InputDataError
+from .array import C0, _wrap180
+from .errors import ConvergenceError, InputDataError
 from .network import cascade, interp_s
-from .touchstone import PortNetwork, ReflectionProfile, parse_touchstone, serialize_touchstone
+from .touchstone import (
+    PortNetwork,
+    ReflectionProfile,
+    _require_in_sweep,
+    parse_touchstone,
+    serialize_touchstone,
+)
 
 TERMINATIONS = ("open", "short")
 
@@ -110,25 +116,11 @@ class StubNetworkDesign:
 
     def to_json(self, f_center_hz: float | None = None) -> str:
         doc = {
-            "line": {
-                "width_m": self.line.width,
-                "substrate_height_m": self.line.substrate_height,
-                "epsilon_r": self.line.epsilon_r,
-                "loss_db_per_m": self.line.loss_db_per_m,
-                "reference_frequency_hz": self.line.reference_frequency,
-            },
+            "line": _json_object(self.line),
             "switch": "ideal" if self.switch is None else {
                 "touchstone": serialize_touchstone(self.switch, "RI", "Hz")
             },
-            "states": [
-                {
-                    "state": st.state,
-                    "termination": st.termination,
-                    "length_m": st.length_m,
-                    "residual_deg": st.residual_deg,
-                }
-                for st in self.states
-            ],
+            "states": [_json_object(st) for st in self.states],
         }
         if f_center_hz is not None:
             doc["f_center_hz"] = f_center_hz
@@ -139,29 +131,13 @@ class StubNetworkDesign:
         """Inverse of :meth:`to_json`; a malformed document raises InputDataError."""
         try:
             doc = json.loads(text)
-            line_doc = _json_field(doc, "line", dict)
-            line = MicrostripLine(
-                width=_json_field(line_doc, "width_m", _NUMBER, "line"),
-                substrate_height=_json_field(line_doc, "substrate_height_m", _NUMBER, "line"),
-                epsilon_r=_json_field(line_doc, "epsilon_r", _NUMBER, "line"),
-                loss_db_per_m=_json_field(line_doc, "loss_db_per_m", _NUMBER, "line", 0.0),
-                reference_frequency=_json_field(
-                    line_doc, "reference_frequency_hz", _NUMBER, "line", 3.6e9
-                ),
-            )
+            line = _from_json_object(MicrostripLine, _json_field(doc, "line", dict), "line")
             switch_doc = _json_field(doc, "switch", (str, dict))
             switch = None
             if switch_doc != "ideal":
                 switch = parse_touchstone(_json_field(switch_doc, "touchstone", str, "switch"))
             states = tuple(
-                StubState(
-                    state=_json_field(st, "state", int, f"states[{i}]"),
-                    termination=_json_field(st, "termination", str, f"states[{i}]"),
-                    length_m=_json_field(st, "length_m", _NUMBER, f"states[{i}]"),
-                    residual_deg=_json_field(
-                        st, "residual_deg", _NUMBER + (type(None),), f"states[{i}]", None
-                    ),
-                )
+                _from_json_object(StubState, st, f"states[{i}]")
                 for i, st in enumerate(_json_field(doc, "states", list))
             )
             return cls(states=states, line=line, switch=switch)
@@ -169,6 +145,38 @@ class StubNetworkDesign:
             raise
         except ValueError as e:
             raise InputDataError(f"design JSON: {e}") from None
+
+
+# The design JSON schema: per object, (JSON key, attribute, accepted types,
+# default) of each field, in document order.
+_JSON_FIELDS = {
+    MicrostripLine: (
+        ("width_m", "width", _NUMBER, _REQUIRED),
+        ("substrate_height_m", "substrate_height", _NUMBER, _REQUIRED),
+        ("epsilon_r", "epsilon_r", _NUMBER, _REQUIRED),
+        ("loss_db_per_m", "loss_db_per_m", _NUMBER, 0.0),
+        ("reference_frequency_hz", "reference_frequency", _NUMBER, 3.6e9),
+    ),
+    StubState: (
+        ("state", "state", int, _REQUIRED),
+        ("termination", "termination", str, _REQUIRED),
+        ("length_m", "length_m", _NUMBER, _REQUIRED),
+        ("residual_deg", "residual_deg", _NUMBER + (type(None),), None),
+    ),
+}
+
+
+def _json_object(obj) -> dict:
+    """The design JSON object of a line or stub state, keys in table order."""
+    return {key: getattr(obj, attr) for key, attr, _, _ in _JSON_FIELDS[type(obj)]}
+
+
+def _from_json_object(cls, node, path: str):
+    """Inverse of :func:`_json_object`: a ``cls`` built from the object at ``path``."""
+    return cls(**{
+        attr: _json_field(node, key, kind, path, default)
+        for key, attr, kind, default in _JSON_FIELDS[cls]
+    })
 
 
 def _json_field(node, key: str, kind, parent: str = "", default=_REQUIRED):
@@ -286,10 +294,6 @@ def ideal_sp8t_design(line: MicrostripLine, f_center: float) -> StubNetworkDesig
     return StubNetworkDesign(states=tuple(states), line=line, switch=None)
 
 
-def _wrap180(deg):
-    return (np.asarray(deg) + 180.0) % 360.0 - 180.0
-
-
 def _golden_section(fn, a: float, b: float, tol: float) -> float:
     """Minimize ``fn`` on [a, b]; assumes the bracket holds a single minimum."""
     h = b - a
@@ -338,11 +342,8 @@ def synthesize_stub_lengths(
         raise ValueError(f"band [{f_lo}, {f_hi}] Hz must contain f_center {f_center} Hz")
     if f_lo <= 0:
         raise ValueError("band frequencies must be > 0")
-    if switch is not None and (f_lo < switch.f_min or f_hi > switch.f_max):
-        raise FrequencyRangeError(
-            f"band [{f_lo}, {f_hi}] Hz not contained in switch sweep "
-            f"[{switch.f_min}, {switch.f_max}] Hz"
-        )
+    if switch is not None:
+        _require_in_sweep(switch.frequencies, (f_lo, f_hi))
     if f_hi > f_lo and n_band_points < 2:
         raise ValueError(f"a band with f_hi > f_lo needs n_band_points >= 2, got {n_band_points}")
     grid = np.array([f_lo]) if f_hi == f_lo else np.linspace(f_lo, f_hi, n_band_points)

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FrequencyRangeError
-from .touchstone import ReflectionProfile, _csv_text, _format_rows
+from .touchstone import ReflectionProfile, _csv_text, _format_rows, _require_in_sweep
 
 # Maximum allowed sigma (degrees) per nominal resolution; used verbatim.
 SIGMA_THRESHOLD_DEG = {1: 65.0, 2: 32.5, 3: 16.25}
@@ -78,35 +77,40 @@ class BandwidthReport:
 
 
 def circular_gaps(phases_deg) -> np.ndarray:
-    """Consecutive gaps between phases sorted on the circle, wrap included.
+    """Consecutive gaps between phases sorted on the circle (last axis), wrap included.
 
     Returns as many gaps as input phases; they sum to 360. Invariant under
     input ordering and under rotating every phase by a common offset.
     """
     phases = np.asarray(phases_deg, dtype=float)
-    if phases.size < 2:
+    if phases.ndim == 0 or phases.shape[-1] < 2:
         raise ValueError("need at least 2 phases")
     if not np.all(np.isfinite(phases)):
         raise ValueError("phases must be finite")
-    s = np.sort(np.mod(phases, 360.0))
-    return np.append(np.diff(s), 360.0 - s[-1] + s[0])
+    s = np.sort(np.mod(phases, 360.0), axis=-1)
+    return np.concatenate((np.diff(s, axis=-1), 360.0 - s[..., -1:] + s[..., :1]), axis=-1)
 
 
-def sigma_phase(gaps_deg) -> float:
-    """Phase standard deviation (degrees) from a circular gap list."""
+def sigma_phase(gaps_deg):
+    """Phase standard deviation (degrees) of circular gap lists on the last axis; 1-D: a float."""
     gaps = np.asarray(gaps_deg, dtype=float)
     if np.any(gaps < 0):
         raise ValueError("gaps must be >= 0")
-    if abs(float(np.sum(gaps)) - 360.0) > 1e-6:
-        raise ValueError(f"gaps must sum to 360 degrees, got {np.sum(gaps)}")
-    return float(np.sqrt(np.sum(gaps**3) / (12.0 * 360.0)))
+    total = np.sum(gaps, axis=-1)
+    off = np.abs(total - 360.0) > 1e-6
+    if np.any(off):
+        raise ValueError(f"gaps must sum to 360 degrees, got {np.ravel(total)[np.argmax(off)]}")
+    sigma = np.sqrt(np.sum(gaps**3, axis=-1) / (12.0 * 360.0))
+    return float(sigma) if sigma.ndim == 0 else sigma
 
 
-def effective_bits(sigma_deg: float) -> float:
-    """Effective resolution in bits for a given sigma (degrees)."""
-    if sigma_deg <= 0:
+def effective_bits(sigma_deg):
+    """Effective resolution in bits for sigma (degrees), elementwise; a scalar gives a float."""
+    sigma = np.asarray(sigma_deg, dtype=float)
+    if np.any(sigma <= 0):
         raise ValueError("sigma must be > 0")
-    return float(np.log2(360.0 / (np.sqrt(12.0) * sigma_deg)))
+    bits = np.log2(360.0 / (np.sqrt(12.0) * sigma))
+    return float(bits) if bits.ndim == 0 else bits
 
 
 def sigma_threshold(resolution_bits: int) -> float:
@@ -146,17 +150,10 @@ def select_states(profile: ReflectionProfile, indices) -> ReflectionProfile:
 def _sigma_per_frequency(profile: ReflectionProfile) -> np.ndarray:
     """``sigma_phase(circular_gaps(.))`` of the state phases at every frequency.
 
-    Rows are frequencies, so each sort, difference and sum runs along a
-    contiguous row in the same order as the one-column functions.
+    Rows are frequencies, so each sum runs along a contiguous row, in the same
+    order as for a single column.
     """
-    s = np.ascontiguousarray(np.angle(profile.gamma, deg=True).T)
-    np.mod(s, 360.0, out=s)
-    s.sort(axis=1)
-    gaps = np.empty_like(s)
-    np.subtract(s[:, 1:], s[:, :-1], out=gaps[:, :-1])
-    gaps[:, -1] = 360.0 - s[:, -1] + s[:, 0]
-    gaps **= 3
-    return np.sqrt(np.sum(gaps, axis=1) / (12.0 * 360.0))
+    return sigma_phase(circular_gaps(np.ascontiguousarray(np.angle(profile.gamma, deg=True).T)))
 
 
 def _crossing(f, sigma, k: int, threshold: float) -> float:
@@ -198,12 +195,9 @@ def bandwidth(profile: ReflectionProfile, resolution_bits: int, f_center: float)
             f"for {resolution_bits}-bit resolution"
         )
     f = profile.frequencies
-    if not (f[0] <= f_center <= f[-1]):
-        raise FrequencyRangeError(
-            f"f_center {f_center} Hz outside profile grid [{f[0]}, {f[-1]}] Hz"
-        )
+    _require_in_sweep(f, f_center)
     sigma = _sigma_per_frequency(profile)
-    nbit = np.log2(360.0 / (np.sqrt(12.0) * sigma))
+    nbit = effective_bits(sigma)
     min_mag_db = 20.0 * np.log10(np.maximum(np.min(np.abs(profile.gamma), axis=0), 1e-30))
 
     band = _passing_band(f, sigma, threshold, f_center)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FrequencyRangeError, InputDataError, SingularityError
+from .errors import InputDataError, SingularityError
 from .touchstone import PortNetwork, ReflectionProfile, _interp_complex
 
 # Denominator magnitudes at or below this are treated as singular.
@@ -29,13 +29,6 @@ def interp_s(net: PortNetwork, f) -> np.ndarray:
     grid points. Raises :class:`FrequencyRangeError` if any frequency lies
     outside the sweep (no extrapolation).
     """
-    f = np.asarray(f, dtype=float)
-    inside = (f >= net.f_min) & (f <= net.f_max)
-    if not np.all(inside):
-        raise FrequencyRangeError(
-            f"frequency {np.ravel(f)[~np.ravel(inside)][0]} Hz not contained in sweep "
-            f"[{net.f_min}, {net.f_max}] Hz"
-        )
     return _interp_complex(net.frequencies, net.s, f)
 
 
@@ -83,9 +76,7 @@ class TwoPortPoint:
                 raise ValueError(f"{name} must be finite")
 
 
-def interpolate_at(net: PortNetwork, f: float) -> np.ndarray:
-    """S-matrix of ``net`` at the single frequency ``f`` (Hz); see :func:`interp_s`."""
-    return interp_s(net, f)
+interpolate_at = interp_s  # its single-frequency name
 
 
 def two_port_at(net: PortNetwork, f: float) -> TwoPortPoint:

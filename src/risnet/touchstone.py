@@ -26,6 +26,14 @@ from .errors import FrequencyRangeError, InputDataError, StateCsvError, Touchsto
 
 _FREQ_SCALE = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 _FORMATS = ("ri", "ma", "db")
+# Option-line token kinds: the name in the duplicate-token message, the tokens
+# of the kind, and its value when the line leaves it out.
+_OPTION_KINDS = (
+    ("frequency unit", tuple(_FREQ_SCALE), "ghz"),
+    ("format token", _FORMATS, "ma"),
+    ("parameter token", ("s", "y", "z", "g", "h"), "s"),
+    ("reference impedance", ("r",), 50.0),
+)
 # Touchstone v1 2-port column order S11 S21 S12 S22, as flat (row-major)
 # indices into a 2x2 S-matrix; a 1-port uses the first entry only.
 _COLUMN_ORDER = [0, 2, 1, 3]
@@ -59,23 +67,18 @@ class PortNetwork:
     s: np.ndarray
 
     def __post_init__(self):
-        freqs = np.asarray(self.frequencies, dtype=float)
         s = np.asarray(self.s, dtype=complex)
         if self.n_ports < 1:
             raise InputDataError("n_ports must be >= 1")
         if self.reference_impedance <= 0:
             raise InputDataError("reference impedance must be > 0")
-        if freqs.ndim != 1 or freqs.size < 1:
-            raise InputDataError("need at least one frequency point")
-        if np.any(np.diff(freqs) <= 0):
-            raise InputDataError("frequencies must be strictly increasing")
+        freqs = _frequency_grid(self.frequencies)
         if s.shape != (freqs.size, self.n_ports, self.n_ports):
             raise InputDataError(
                 f"S data shape {s.shape} does not match "
                 f"{freqs.size} points of a {self.n_ports}-port"
             )
-        if not np.all(np.isfinite(s.view(float))):
-            raise InputDataError("S parameters must be finite")
+        _reject_rows(~np.isfinite(s), InputDataError, "S parameters must be finite")
         object.__setattr__(self, "frequencies", freqs)
         object.__setattr__(self, "s", s)
 
@@ -103,7 +106,6 @@ class ReflectionProfile:
 
     def __post_init__(self):
         states = tuple(int(s) for s in self.states)
-        freqs = np.asarray(self.frequencies, dtype=float)
         gamma = np.asarray(self.gamma, dtype=complex)
         n = len(states)
         if n < 1 or (n & (n - 1)) != 0:
@@ -112,14 +114,10 @@ class ReflectionProfile:
             raise InputDataError("duplicate state labels")
         if list(states) != sorted(states):
             raise InputDataError("states must be sorted ascending")
-        if freqs.ndim != 1 or freqs.size < 1:
-            raise InputDataError("need at least one frequency point")
-        if np.any(np.diff(freqs) <= 0):
-            raise InputDataError("frequencies must be strictly increasing")
+        freqs = _frequency_grid(self.frequencies)
         if gamma.shape != (n, freqs.size):
             raise InputDataError("gamma grid must be states x frequencies")
-        if not np.all(np.isfinite(gamma.view(float))):
-            raise InputDataError("gamma entries must be finite")
+        _reject_rows(~np.isfinite(gamma), InputDataError, "gamma entries must be finite")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "frequencies", freqs)
         object.__setattr__(self, "gamma", gamma)
@@ -130,12 +128,34 @@ class ReflectionProfile:
 
     def at_frequency(self, f: float) -> np.ndarray:
         """Per-state gamma at ``f``, linear on real/imag parts, no extrapolation."""
-        if not (self.frequencies[0] <= f <= self.frequencies[-1]):
-            raise FrequencyRangeError(
-                f"frequency {f} Hz outside profile sweep "
-                f"[{self.frequencies[0]}, {self.frequencies[-1]}] Hz"
-            )
         return _interp_complex(self.frequencies, self.gamma.T, f)
+
+
+def _frequency_grid(freqs, error=InputDataError, line_nos=None) -> np.ndarray:
+    """``freqs`` as a float array, checked as a 1-D, finite, strictly increasing grid."""
+    f = np.asarray(freqs, dtype=float)
+    if f.ndim != 1 or f.size < 1:
+        raise error("need at least one frequency point")
+    _reject_rows(~np.isfinite(f), error, "frequencies must be finite", line_nos)
+    falling = np.append(False, f[1:] <= f[:-1])
+    _reject_rows(falling, error, "frequencies must be strictly increasing", line_nos)
+    return f
+
+
+def _reject_rows(bad, error, message: str, line_nos=None) -> None:
+    """Raise ``error(message, line_nos[row])`` at the first row (axis 0) flagged in ``bad``."""
+    rows = np.any(bad, axis=tuple(range(1, np.ndim(bad))))
+    if np.any(rows):
+        raise error(message, None if line_nos is None else int(line_nos[np.argmax(rows)]))
+
+
+def _require_in_sweep(sweep_f: np.ndarray, f) -> None:
+    """Raise :class:`FrequencyRangeError` unless every ``f`` lies in ``sweep_f``'s span."""
+    f = np.ravel(np.asarray(f, dtype=float))
+    outside = ~((f >= sweep_f[0]) & (f <= sweep_f[-1]))
+    if np.any(outside):
+        f_out, lo, hi = float(f[np.argmax(outside)]), float(sweep_f[0]), float(sweep_f[-1])
+        raise FrequencyRangeError(f"frequency {f_out} Hz not contained in sweep [{lo}, {hi}] Hz")
 
 
 def _interp_complex(src_f: np.ndarray, src_v: np.ndarray, f) -> np.ndarray:
@@ -144,8 +164,9 @@ def _interp_complex(src_f: np.ndarray, src_v: np.ndarray, f) -> np.ndarray:
     Linear on real and imaginary parts, exactly as ``np.interp`` per entry;
     the result has shape ``np.shape(f) + src_v.shape[1:]``. The loop runs
     over the trailing entries (S-matrix elements or states), never over
-    frequencies. Range checks are the caller's.
+    frequencies. Out-of-sweep ``f`` raises :class:`FrequencyRangeError`.
     """
+    _require_in_sweep(src_f, f)
     cols = src_v.reshape(src_v.shape[0], -1)
     out = np.empty(np.shape(f) + cols.shape[1:], dtype=complex)
     for c in range(cols.shape[1]):
@@ -156,52 +177,31 @@ def _interp_complex(src_f: np.ndarray, src_v: np.ndarray, f) -> np.ndarray:
 
 
 def _parse_option_line(line: str, line_no: int):
-    tokens = line[1:].split()
-    unit = None
-    fmt = None
-    z0 = None
-    saw_parameter = None
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i].lower()
-        if tok in _FREQ_SCALE:
-            if unit is not None:
-                raise TouchstoneParseError("duplicate frequency unit", line_no)
-            unit = tok
-        elif tok in _FORMATS:
-            if fmt is not None:
-                raise TouchstoneParseError("duplicate format token", line_no)
-            fmt = tok
-        elif tok in ("s", "y", "z", "g", "h"):
-            if saw_parameter is not None:
-                raise TouchstoneParseError("duplicate parameter token", line_no)
-            saw_parameter = tok
-            if tok != "s":
-                raise TouchstoneParseError(
-                    f"only S-parameters supported, got '{tokens[i]}'", line_no
-                )
-        elif tok == "r":
-            if z0 is not None:
-                raise TouchstoneParseError("duplicate reference impedance", line_no)
-            if i + 1 >= len(tokens):
+    """(unit, format, reference impedance) of a ``#`` option line, defaults filled in."""
+    tokens = iter(line[1:].split())
+    seen = {}
+    for token in tokens:
+        tok = token.lower()
+        kind = next((k for k, members, _ in _OPTION_KINDS if tok in members), None)
+        if kind is None:
+            raise TouchstoneParseError(f"unknown option token '{token}'", line_no)
+        if kind in seen:
+            raise TouchstoneParseError(f"duplicate {kind}", line_no)
+        seen[kind] = tok
+        if kind == "parameter token" and tok != "s":
+            raise TouchstoneParseError(f"only S-parameters supported, got '{token}'", line_no)
+        if kind == "reference impedance":
+            value = next(tokens, None)
+            if value is None:
                 raise TouchstoneParseError("R token without impedance value", line_no)
             try:
-                z0 = float(tokens[i + 1])
+                seen[kind] = float(value)
             except ValueError:
-                raise TouchstoneParseError(
-                    f"bad reference impedance '{tokens[i + 1]}'", line_no
-                ) from None
-            if z0 <= 0:
+                raise TouchstoneParseError(f"bad reference impedance '{value}'", line_no) from None
+            if seen[kind] <= 0:
                 raise TouchstoneParseError("reference impedance must be > 0", line_no)
-            i += 1
-        else:
-            raise TouchstoneParseError(f"unknown option token '{tokens[i]}'", line_no)
-        i += 1
-    return (
-        unit if unit is not None else "ghz",
-        fmt if fmt is not None else "ma",
-        z0 if z0 is not None else 50.0,
-    )
+    unit, fmt, _, z0 = (seen.get(kind, default) for kind, _, default in _OPTION_KINDS)
+    return unit, fmt, z0
 
 
 def _pairs_to_complex(a: np.ndarray, b: np.ndarray, fmt: str) -> np.ndarray:
@@ -258,11 +258,11 @@ def parse_touchstone(text: str) -> PortNetwork:
 
     Defaults to GHz / S / MA / R 50 for omitted option-line fields. Data
     lines must hold 3 values (1-port) or 9 values (2-port, column order
-    S11 S21 S12 S22). Frequencies must be strictly increasing; they are
-    never reordered. In a 2-port file, a 5-value record whose frequency is
-    not above the previous one starts the noise-parameter block, which runs
-    to the end of the file with 5 values per record and is skipped. All
-    errors carry the offending line number.
+    S11 S21 S12 S22). Frequencies must be finite and strictly increasing;
+    they are never reordered. In a 2-port file, a 5-value record whose
+    frequency is not above the previous one starts the noise-parameter
+    block, which runs to the end of the file with 5 values per record and is
+    skipped. All errors carry the offending line number.
     """
     option = []
 
@@ -321,11 +321,7 @@ def parse_touchstone(text: str) -> PortNetwork:
     f_hz = values[np.cumsum(counts) - counts] * _FREQ_SCALE[unit]
     odd = np.flatnonzero(counts != n_values)
     n_points = int(odd[0]) if odd.size else counts.size
-    falling = np.flatnonzero(f_hz[:n_points] <= np.append(-np.inf, f_hz[:n_points - 1]))
-    if falling.size:
-        raise TouchstoneParseError(
-            "frequencies must be strictly increasing", int(line_nos[falling[0]])
-        )
+    freqs = _frequency_grid(f_hz[:n_points], TouchstoneParseError, line_nos)
     if n_points < counts.size:
         k = n_points
         if not (n_ports == 2 and counts[k] == 5 and f_hz[k] <= f_hz[k - 1]):
@@ -340,10 +336,12 @@ def parse_touchstone(text: str) -> PortNetwork:
             )
 
     raw = values[:n_points * n_values].reshape(n_points, n_values)[:, 1:]
-    cplx = _pairs_to_complex(raw[:, 0::2], raw[:, 1::2], fmt)
+    with np.errstate(all="ignore"):  # inf values; rejected by line below
+        cplx = _pairs_to_complex(raw[:, 0::2], raw[:, 1::2], fmt)
+    _reject_rows(~np.isfinite(cplx), TouchstoneParseError, "S parameters must be finite", line_nos)
     s = np.ascontiguousarray(cplx[:, _COLUMN_ORDER[:n_ports**2]])
     s = s.reshape(n_points, n_ports, n_ports)
-    return PortNetwork(n_ports=n_ports, reference_impedance=z0, frequencies=f_hz[:n_points], s=s)
+    return PortNetwork(n_ports=n_ports, reference_impedance=z0, frequencies=freqs, s=s)
 
 
 def _fmt(x: float) -> str:
@@ -370,14 +368,13 @@ def _polar_columns(v: np.ndarray, fmt: str) -> tuple:
     """
     if fmt == "ri":
         return v.real, v.imag
-    # hypot rounds exactly like the scalar abs(); np.abs can differ in the last bit
-    mag = np.hypot(v.real, v.imag)
-    live = mag > 0
-    ang = np.where(live, np.angle(v, deg=True), 0.0)
-    if fmt == "ma":
-        return mag, ang
-    with np.errstate(divide="ignore"):
-        return np.where(live, 20.0 * np.log10(mag), _DB_FLOOR), ang
+    # hypot rounds exactly like the scalar abs(); np.abs can differ in the last bit.
+    # A magnitude past the float range is written as inf, without a numpy warning.
+    with np.errstate(over="ignore", divide="ignore"):
+        mag = np.hypot(v.real, v.imag)
+        live = mag > 0
+        ang = np.where(live, np.angle(v, deg=True), 0.0)
+        return (mag if fmt == "ma" else np.where(live, 20.0 * np.log10(mag), _DB_FLOOR)), ang
 
 
 def serialize_touchstone(net: PortNetwork, format: str = "RI", freq_unit: str = "GHz",
@@ -517,9 +514,12 @@ def load_state_csv(text: str) -> ReflectionProfile:
     n = states.size
     if n & (n - 1):
         raise StateCsvError(f"state count {n} is not a power of two")
-    gamma = np.empty((n, freqs.size), dtype=complex)
     # float_power rounds exactly like the scalar **; np.power can differ in the last bit.
-    gamma[i, k] = np.float_power(10.0, table[:, 2] / 20.0) * np.exp(1j * np.deg2rad(table[:, 3]))
+    with np.errstate(all="ignore"):  # inf or overflowing values; rejected by line below
+        rows = np.float_power(10.0, table[:, 2] / 20.0) * np.exp(1j * np.deg2rad(table[:, 3]))
+    _reject_rows(~np.isfinite(rows), StateCsvError, "gamma entries must be finite", line_nos)
+    gamma = np.empty((n, freqs.size), dtype=complex)
+    gamma[i, k] = rows
     return ReflectionProfile(states=tuple(int(s) for s in states), frequencies=freqs, gamma=gamma)
 
 

@@ -262,7 +262,7 @@ def oracle_csv_rows(text, header, error):
 
 
 def oracle_load_state_csv(text):
-    rows = []
+    rows, line_nos = [], []
     for line_no, fields in oracle_csv_rows(text, STATE_CSV_HEADER, StateCsvError):
         try:
             f_hz, mag_db, phase_deg = float(fields[0]), float(fields[2]), float(fields[3])
@@ -276,6 +276,7 @@ def oracle_load_state_csv(text):
         if not math.isfinite(f_hz):
             raise StateCsvError(f"non-finite frequency {fields[0]}", line_no)
         rows.extend((f_hz, state, mag_db, phase_deg))
+        line_nos.append(line_no)
     if not rows:
         raise StateCsvError("no data rows", 1)
     table = np.array(rows).reshape(-1, 4)
@@ -288,9 +289,8 @@ def oracle_load_state_csv(text):
     repeats = order[1:][cell[order[1:]] == cell[order[:-1]]]
     if repeats.size:
         r = int(repeats.min())
-        line_no = [n for n, _ in oracle_csv_rows(text, STATE_CSV_HEADER, StateCsvError)][r]
         raise StateCsvError(
-            f"duplicate row for state {int(table[r, 1])} at {table[r, 0]} Hz", line_no
+            f"duplicate row for state {int(table[r, 1])} at {table[r, 0]} Hz", line_nos[r]
         )
     if cell.size != states.size * freqs.size:
         filled = np.zeros(states.size * freqs.size, dtype=bool)
@@ -304,21 +304,36 @@ def oracle_load_state_csv(text):
     n = states.size
     if n & (n - 1):
         raise StateCsvError(f"state count {n} is not a power of two")
+    with np.errstate(all="ignore"):
+        values = np.float_power(10.0, table[:, 2] / 20.0) * np.exp(1j * np.deg2rad(table[:, 3]))
+    for line_no, v in zip(line_nos, values):
+        if not np.isfinite(v):
+            raise StateCsvError("gamma entries must be finite", line_no)
     gamma = np.empty((n, freqs.size), dtype=complex)
-    gamma[i, k] = np.float_power(10.0, table[:, 2] / 20.0) * np.exp(1j * np.deg2rad(table[:, 3]))
+    gamma[i, k] = values
     return ReflectionProfile(states=tuple(int(s) for s in states), frequencies=freqs, gamma=gamma)
 
 
 def oracle_load_sweep_csv(text):
-    freqs = []
-    values = []
+    rows = []
     for line_no, fields in oracle_csv_rows(text, SWEEP_CSV_HEADER, SweepGridError):
         try:
-            freqs.append(float(fields[0]))
-            values.append(float(fields[1]) + 1j * float(fields[2]))
+            rows.append((line_no, *map(float, fields)))
         except ValueError:
             raise SweepGridError(f"non-numeric field in '{','.join(fields)}'", line_no) from None
-    return Sweep(frequencies=np.array(freqs), values=np.array(values))
+    # Rows are checked by line: non-finite frequencies, then their order, then
+    # the values; the size and uniform-step checks of Sweep come last.
+    for line_no, f, _, _ in rows:
+        if not math.isfinite(f):
+            raise SweepGridError("frequencies must be finite", line_no)
+    for (line_no, f, _, _), prev in zip(rows[1:], rows):
+        if f <= prev[1]:
+            raise SweepGridError("frequencies must be strictly increasing", line_no)
+    for line_no, _, re, im in rows:
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise SweepGridError("sweep values must be finite", line_no)
+    return Sweep(frequencies=np.array([r[1] for r in rows]),
+                 values=np.array([r[2] + 1j * r[3] for r in rows]))
 
 
 def oracle_parse_touchstone(text):
@@ -364,20 +379,30 @@ def oracle_parse_touchstone(text):
             records[0][0],
         )
     n_ports = 1 if n_values == 3 else 2
-    freqs, raw, prev_f = [], [], -np.inf
-    for line_no, values in records:
-        if len(values) != n_values:
-            raise TouchstoneParseError(
-                f"expected {n_values} values per record, got {len(values)}", line_no
-            )
-        f_hz = values[0] * {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}[unit]
+    # The records before the first one of another length form the frequency
+    # grid: it is checked for non-finite values, then for order, then the
+    # record of another length is reported.
+    n_points = next((k for k, (_, v) in enumerate(records) if len(v) != n_values), len(records))
+    scale = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}[unit]
+    freqs = [values[0] * scale for _, values in records[:n_points]]
+    for (line_no, _), f_hz in zip(records, freqs):
+        if not math.isfinite(f_hz):
+            raise TouchstoneParseError("frequencies must be finite", line_no)
+    for (line_no, _), f_hz, prev_f in zip(records[1:], freqs[1:], freqs):
         if f_hz <= prev_f:
             raise TouchstoneParseError("frequencies must be strictly increasing", line_no)
-        prev_f = f_hz
-        freqs.append(f_hz)
-        raw.append(values[1:])
-    raw = np.array(raw)
-    cplx = _pairs_to_complex(raw[:, 0::2], raw[:, 1::2], fmt)
+    if n_points < len(records):
+        line_no, values = records[n_points]
+        raise TouchstoneParseError(
+            f"expected {n_values} values per record, got {len(values)}", line_no
+        )
+    raw = np.array([values[1:] for _, values in records])
+    with np.errstate(all="ignore"):
+        cplx = _pairs_to_complex(raw[:, 0::2], raw[:, 1::2], fmt)
+    # S values are checked by line once every record's count and frequency are.
+    for (line_no, _), row in zip(records, cplx):
+        if not np.all(np.isfinite(row)):
+            raise TouchstoneParseError("S parameters must be finite", line_no)
     s = np.ascontiguousarray(cplx[:, [0, 2, 1, 3]] if n_ports == 2 else cplx)
     s = s.reshape(-1, n_ports, n_ports)
     return PortNetwork(n_ports=n_ports, reference_impedance=z0, frequencies=freqs, s=s)
@@ -551,7 +576,6 @@ def small_blocks():
     return st.sampled_from((1, 2, 3, touchstone._BLOCK_ROWS))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf/nan fields, as on the per-line path
 @property_settings
 @given(state_csv_texts(), small_blocks())
 def test_state_csv_reader_matches_per_line_path(text, block_rows):
@@ -568,7 +592,7 @@ def sweep_csv_texts(draw):
         r = draw(st.integers(0, n - 1))
         fields = rows[r].split(",")
         if draw(st.booleans()):
-            fields[draw(st.integers(0, 2))] = draw(tokens).replace(",", "")
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(tokens).replace(",", "")
             rows[r] = ",".join(fields)
         else:
             rows[r] = ",".join(fields[:2])
@@ -688,7 +712,8 @@ def pattern_profile(tmp_path_factory):
 
 
 @property_settings
-@given(st.lists(finite_complex.filter(lambda v: abs(v) < 1e300), min_size=1, max_size=30),
+@given(st.lists(finite_complex.filter(lambda v: math.hypot(v.real, v.imag) < 1e300),
+                min_size=1, max_size=30),
        st.sampled_from((0.0, -0.0, 12.5, 359.875, 1e-7)))
 def test_pattern_writer_matches_per_row_oracle(pattern_profile, af, phi):
     af = np.array(af)
