@@ -48,14 +48,41 @@ def _write_output(text: str, out: str | None):
         Path(out).write_text(text, encoding="utf-8")
 
 
+def _stamp_pairs(args) -> list:
+    """``[("generated", <UTC time>)]`` with --stamp, else no pairs."""
+    return [("generated", datetime.now(timezone.utc).isoformat())] if args.stamp else []
+
+
 def _stamp_comments(args) -> tuple:
-    if args.stamp:
-        return (f"generated {datetime.now(timezone.utc).isoformat()}",)
-    return ()
+    return tuple(f"{key} {value}" for key, value in _stamp_pairs(args))
 
 
-def _render_kv(pairs) -> str:
-    return "\n".join(f"{k}: {v}" for k, v in pairs) + "\n"
+def _text_value(value) -> str:
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return _fmt(value) if isinstance(value, float) else str(value)
+
+
+def _text_lines(pairs, prefix: str = ""):
+    for key, value in pairs:
+        if isinstance(value, dict):
+            yield from _text_lines(value.items(), f"{prefix}{key}.")
+        elif not isinstance(value, list):
+            yield f"{prefix}{key}: {_text_value(value)}\n"
+
+
+def _render(pairs, fmt: str) -> str:
+    """A summary, given as ordered (key, raw value) pairs, as JSON or as text.
+
+    Text has one ``key: value`` line per scalar: floats as ``%.12g``, None as
+    ``none``, booleans as in JSON, and the members of an object as
+    ``key.member``. Lists appear in JSON only.
+    """
+    if fmt == "json":
+        return json.dumps(dict(pairs), indent=2) + "\n"
+    return "".join(_text_lines(pairs))
 
 
 def _line_from_args(args, f_center: float, needed_by: str) -> loads.MicrostripLine:
@@ -86,47 +113,27 @@ def _resolution_bits(args, n_states: int) -> int:
 
 
 def cmd_parse(args) -> int:
-    path = Path(args.file)
     text = _read_text(args.file)
-    if path.suffix.lower() == ".csv":
+    if Path(args.file).suffix.lower() == ".csv":
         profile = touchstone.load_state_csv(text)
-        summary = {
-            "type": "state_csv",
-            "states": profile.n_states,
-            "frequencies": int(profile.frequencies.size),
-            "f_min_hz": float(profile.frequencies[0]),
-            "f_max_hz": float(profile.frequencies[-1]),
-        }
-        text_lines = [
-            ("file", args.file),
+        pairs = [
             ("type", "state_csv"),
-            ("summary", f"{profile.n_states} states, {profile.frequencies.size} frequencies"),
-            ("f_min_hz", _fmt(summary["f_min_hz"])),
-            ("f_max_hz", _fmt(summary["f_max_hz"])),
+            ("states", profile.n_states),
+            ("frequencies", int(profile.frequencies.size)),
+            ("f_min_hz", float(profile.frequencies[0])),
+            ("f_max_hz", float(profile.frequencies[-1])),
         ]
     else:
         net = touchstone.parse_touchstone(text)
-        summary = {
-            "type": "touchstone",
-            "n_ports": net.n_ports,
-            "points": int(net.frequencies.size),
-            "f_min_hz": net.f_min,
-            "f_max_hz": net.f_max,
-            "reference_impedance_ohm": net.reference_impedance,
-        }
-        text_lines = [
-            ("file", args.file),
+        pairs = [
             ("type", "touchstone"),
             ("n_ports", net.n_ports),
-            ("points", net.frequencies.size),
-            ("f_min_hz", _fmt(net.f_min)),
-            ("f_max_hz", _fmt(net.f_max)),
-            ("reference_impedance_ohm", _fmt(net.reference_impedance)),
+            ("points", int(net.frequencies.size)),
+            ("f_min_hz", net.f_min),
+            ("f_max_hz", net.f_max),
+            ("reference_impedance_ohm", net.reference_impedance),
         ]
-    if args.format == "json":
-        _write_output(json.dumps(summary, indent=2) + "\n", args.out)
-    else:
-        _write_output(_render_kv(text_lines), args.out)
+    _write_output(_render(pairs, args.format), args.out)
     return 0
 
 
@@ -212,28 +219,16 @@ def cmd_bandwidth(args) -> int:
         bits = _resolution_bits(args, profile.n_states)
     report = metrics.bandwidth(profile, bits, args.f_center_hz)
     if args.format == "csv":
-        _write_output(report.to_csv(), args.out)
-    elif args.format == "text":
-        pairs = [
-            ("resolution_bits", bits),
-            ("threshold_deg", _fmt(report.threshold_deg)),
-            ("f_center_hz", _fmt(args.f_center_hz)),
-        ]
-        if report.band is None:
-            pairs.append(("band", "none"))
-        else:
-            pairs.append(("band_low_hz", _fmt(report.band[0])))
-            pairs.append(("band_high_hz", _fmt(report.band[1])))
-        pairs.append(("bandwidth_hz", _fmt(report.bandwidth_hz)))
-        _write_output(_render_kv(pairs), args.out)
-    else:
-        doc = report.to_json_dict()
-        doc["resolution_bits"] = bits
-        doc["f_center_hz"] = args.f_center_hz
-        doc["virtual_2bit"] = bool(args.virtual_2bit)
-        if args.stamp:
-            doc["generated"] = datetime.now(timezone.utc).isoformat()
-        _write_output(json.dumps(doc, indent=2) + "\n", args.out)
+        _write_output(report.to_csv(comments=_stamp_comments(args)), args.out)
+        return 0
+    pairs = [
+        *report.to_json_dict().items(),
+        ("resolution_bits", bits),
+        ("f_center_hz", args.f_center_hz),
+        ("virtual_2bit", bool(args.virtual_2bit)),
+        *_stamp_pairs(args),
+    ]
+    _write_output(_render(pairs, args.format), args.out)
     return 0
 
 
@@ -286,26 +281,21 @@ def cmd_pattern(args) -> int:
         else:
             Path(args.state_map_out).write_text(arr.state_map_to_text(state_map), encoding="utf-8")
 
-    peak_theta = float(theta_grid[int(np.argmax(mag))])
-    power_mw = arr.power_consumption(layout) * 1e3
-    summary_pairs = [
+    summary = [
         ("tiles", f"{layout.tiles_x}x{layout.tiles_y}"),
         ("cells", layout.n_cells),
         ("resolution_bits", bits),
-        ("area_m2", _fmt(layout.area_m2)),
-        ("power_mw", _fmt(power_mw)),
-        ("f_hz", _fmt(f)),
-        ("steer_theta_deg", _fmt(args.theta_deg)),
-        ("steer_phi_az_deg", _fmt(args.phi_az_deg)),
-        ("peak_theta_deg", _fmt(peak_theta)),
-        ("max_residual_deg", _fmt(float(np.max(residual)))),
+        ("area_m2", layout.area_m2),
+        ("power_mw", arr.power_consumption(layout) * 1e3),
+        ("f_hz", f),
+        ("steer_theta_deg", args.theta_deg),
+        ("steer_phi_az_deg", args.phi_az_deg),
+        ("peak_theta_deg", float(theta_grid[int(np.argmax(mag))])),
+        ("max_residual_deg", float(np.max(residual))),
     ]
     _write_output(pattern_csv, args.out)
     if args.out is not None:
-        if args.format == "json":
-            sys.stdout.write(json.dumps(dict(summary_pairs), indent=2) + "\n")
-        else:
-            sys.stdout.write(_render_kv(summary_pairs))
+        sys.stdout.write(_render(summary, args.format))
     return 0
 
 

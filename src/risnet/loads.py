@@ -321,7 +321,6 @@ def synthesize_stub_lengths(
     line: MicrostripLine,
     f_center: float,
     band,
-    weights=None,
     n_band_points: int = 21,
 ) -> StubNetworkDesign:
     """Fit the eight stub lengths to the 45-degree phase ladder over a band.
@@ -347,23 +346,14 @@ def synthesize_stub_lengths(
     if f_hi > f_lo and n_band_points < 2:
         raise ValueError(f"a band with f_hi > f_lo needs n_band_points >= 2, got {n_band_points}")
     grid = np.array([f_lo]) if f_hi == f_lo else np.linspace(f_lo, f_hi, n_band_points)
-    if weights is None:
-        # Uniform when the band is symmetric about f_center. Otherwise tilt
-        # linearly so the weighted band centroid lands on f_center, keeping
-        # the fitted phase anchored there (a plain uniform fit on an
-        # off-center band drags the zero-error frequency to the band mean).
-        offsets = grid - f_center
-        s2 = float(np.sum(offsets**2))
-        lam = 0.0 if s2 == 0 else -float(np.sum(offsets)) / s2
-        w = np.maximum(1.0 + lam * offsets, 0.0)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != grid.shape:
-            raise ValueError(
-                f"weights length {w.size} does not match the {grid.size}-point band grid"
-            )
-        if np.any(w < 0) or not np.any(w > 0):
-            raise ValueError("weights must be non-negative with a positive sum")
+    # Uniform weights when the band is symmetric about f_center. Otherwise tilt
+    # linearly so the weighted band centroid lands on f_center, keeping the
+    # fitted phase anchored there (a plain uniform fit on an off-center band
+    # drags the zero-error frequency to the band mean).
+    offsets = grid - f_center
+    s2 = float(np.sum(offsets**2))
+    lam = 0.0 if s2 == 0 else -float(np.sum(offsets)) / s2
+    w = np.maximum(1.0 + lam * offsets, 0.0)
     w = w / np.sum(w)
 
     s_grid = None if switch is None else interp_s(switch, grid)

@@ -15,7 +15,6 @@ frequency on which sigma stays at or below the per-resolution threshold.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,13 +66,10 @@ class BandwidthReport:
             "literature": list(LITERATURE_BANDWIDTHS),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
-
-    def to_csv(self) -> str:
+    def to_csv(self, comments: tuple = ()) -> str:
         body = _format_rows("%.12g,%.12g,%.12g\n", self.frequencies, self.sigma_deg,
                             self.n_bit_eff)
-        return _csv_text("freq_hz,sigma_deg,nbit_eff", (), body)
+        return _csv_text("freq_hz,sigma_deg,nbit_eff", comments, body)
 
 
 def circular_gaps(phases_deg) -> np.ndarray:

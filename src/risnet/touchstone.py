@@ -132,11 +132,15 @@ class ReflectionProfile:
 
 
 def _frequency_grid(freqs, error=InputDataError, line_nos=None) -> np.ndarray:
-    """``freqs`` as a float array, checked as a 1-D, finite, strictly increasing grid."""
+    """``freqs`` as a float array, checked as a 1-D, finite, non-negative, strictly increasing grid.
+
+    Zero is accepted: Touchstone exports for time-domain work carry a DC point.
+    """
     f = np.asarray(freqs, dtype=float)
     if f.ndim != 1 or f.size < 1:
         raise error("need at least one frequency point")
     _reject_rows(~np.isfinite(f), error, "frequencies must be finite", line_nos)
+    _reject_rows(f < 0, error, "frequencies must be non-negative", line_nos)
     falling = np.append(False, f[1:] <= f[:-1])
     _reject_rows(falling, error, "frequencies must be strictly increasing", line_nos)
     return f

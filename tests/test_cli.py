@@ -1,13 +1,14 @@
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from datetime import datetime
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from risnet import cli
+from risnet import cli, metrics
 from risnet.gating import dump_sweep_csv, load_sweep_csv, synth_multipath
 from risnet.loads import MicrostripLine, StubNetworkDesign, StubState, ideal_sp8t_design
 from risnet.touchstone import PortNetwork, load_state_csv
@@ -49,7 +50,9 @@ def test_parse_touchstone_json_summary(tmp_path, capsys):
 def test_parse_state_csv_summary(tmp_path, capsys):
     csv_path = write_ideal_3bit_profile(tmp_path / "p.csv", np.linspace(3.3e9, 3.8e9, 5))
     assert cli.main(["parse", csv_path]) == 0
-    assert "8 states, 5 frequencies" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert "states: 8" in lines
+    assert "frequencies: 5" in lines
 
 
 def test_parse_malformed_exits_3(tmp_path, capsys):
@@ -262,7 +265,7 @@ def test_bandwidth_zero_for_100_degree_profile(tmp_path, capsys):
     p.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert cli.main(["bandwidth", str(p), "--format", "text"]) == 0
     out = capsys.readouterr().out
-    assert "band: none" in out
+    assert "band_hz: none" in out
     assert "bandwidth_hz: 0" in out
 
 
@@ -448,6 +451,85 @@ def test_stamp_flag_adds_timestamp(tmp_path, capsys):
     assert "generated" not in json.loads(capsys.readouterr().out)
     assert cli.main(["bandwidth", csv_path, "--stamp"]) == 0
     assert "generated" in json.loads(capsys.readouterr().out)
+
+
+class FrozenClock(datetime):
+    @classmethod
+    def now(cls, tz=None):
+        return datetime(2026, 1, 2, 3, 4, 5, tzinfo=tz)
+
+
+def test_bandwidth_csv_stamp(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "datetime", FrozenClock)
+    csv_path = write_ideal_3bit_profile(tmp_path / "p.csv", np.linspace(3.3e9, 3.8e9, 5))
+    assert cli.main(["bandwidth", csv_path, "--format", "csv"]) == 0
+    plain = capsys.readouterr().out
+    report = metrics.bandwidth(load_state_csv((tmp_path / "p.csv").read_text()), 3, 3.6e9)
+    assert plain == report.to_csv()
+    assert cli.main(["bandwidth", csv_path, "--format", "csv", "--stamp"]) == 0
+    assert capsys.readouterr().out == "# generated 2026-01-02T03:04:05+00:00\n" + plain
+
+
+def write_100_degree_profile(path):
+    lines = ["freq_hz,state,mag_db,phase_deg"]
+    for f in np.linspace(3.3e9, 3.8e9, 5):
+        lines += [f"{f:.12g},0,0,0", f"{f:.12g},1,0,100"]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def ladder(tmp_path):
+    return write_ideal_3bit_profile(tmp_path / "p.csv", np.linspace(3.3e9, 3.8e9, 5))
+
+
+# argv of each summary, without --format; pattern prints its summary when --out is given.
+SUMMARY_CASES = {
+    "parse_s2p": lambda d: ["parse", write_thru_s2p(d / "thru.s2p")],
+    "parse_state_csv": lambda d: ["parse", ladder(d)],
+    "bandwidth_band": lambda d: ["bandwidth", ladder(d)],
+    "bandwidth_no_band": lambda d: ["bandwidth", write_100_degree_profile(d / "p100.csv")],
+    "bandwidth_virtual_2bit": lambda d: ["bandwidth", ladder(d), "--virtual-2bit"],
+    "bandwidth_stamp": lambda d: ["bandwidth", ladder(d), "--stamp"],
+    "pattern": lambda d: ["pattern", ladder(d), "--theta-deg", "20",
+                          "--out", str(d / "pattern.csv")],
+}
+
+
+def scalar_members(doc, prefix=""):
+    """(dotted key, value) of every non-list member of a JSON object, objects flattened."""
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from scalar_members(value, f"{prefix}{key}.")
+        elif not isinstance(value, list):
+            yield prefix + key, value
+
+
+def summary_text(value):
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return f"{value:.12g}" if isinstance(value, float) else str(value)
+
+
+def is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("case", SUMMARY_CASES)
+def test_text_summary_lists_the_json_scalars(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.setattr(cli, "datetime", FrozenClock)
+    argv = SUMMARY_CASES[case](tmp_path)
+    assert cli.main(argv + ["--format", "json"]) == 0
+    members = list(scalar_members(json.loads(capsys.readouterr().out)))
+    assert cli.main(argv + ["--format", "text"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"{key}: {summary_text(value)}" for key, value in members]
+    assert not [key for key, value in members if isinstance(value, str) and is_number(value)]
 
 
 def test_unknown_subcommand_exits_2():

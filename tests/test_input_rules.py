@@ -20,7 +20,13 @@ from risnet.metrics import bandwidth, circular_gaps, effective_bits, sigma_phase
 from risnet.network import interp_s
 from risnet.touchstone import PortNetwork, ReflectionProfile, load_state_csv, parse_touchstone
 
-NON_FINITE = [np.nan, np.inf, -np.inf]
+# A grid value and the rule it breaks: non-finite first, then negative.
+FINITE = "frequencies must be finite"
+NON_NEGATIVE = "frequencies must be non-negative"
+GRID_FAULTS = [
+    *(pytest.param(v, FINITE, id=str(v)) for v in (np.nan, np.inf, -np.inf)),
+    pytest.param(-1.0, NON_NEGATIVE, id="-1.0"),
+]
 GRID = np.array([3.0e9, 3.3e9, 3.6e9, 3.9e9, 4.2e9])
 SWEEP_SPAN = "[3000000000.0, 4200000000.0] Hz"
 
@@ -43,33 +49,44 @@ def thru_switch():
     return PortNetwork(2, 50.0, GRID, s)
 
 
-@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("value, message", GRID_FAULTS)
 @pytest.mark.parametrize("build, error", [
     (lambda f: PortNetwork(1, 50.0, f, np.zeros((f.size, 1, 1), complex)), InputDataError),
     (lambda f: ReflectionProfile((0, 1), f, np.ones((2, f.size), complex)), InputDataError),
     (lambda f: Sweep(f, np.ones(f.size, complex)), SweepGridError),
 ], ids=["PortNetwork", "ReflectionProfile", "Sweep"])
-def test_constructors_reject_non_finite_frequency(build, error, value):
-    with pytest.raises(error, match="frequencies must be finite"):
+def test_constructors_reject_non_finite_frequency(build, error, value, message):
+    with pytest.raises(error, match=message):
         build(uniform_grid_with(value))
 
 
-@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
-def test_parse_touchstone_names_the_non_finite_frequency(token):
+@pytest.mark.parametrize("token, message", [
+    ("nan", FINITE), ("inf", FINITE), ("-inf", FINITE), ("1e999", FINITE), ("-2", NON_NEGATIVE),
+], ids=["nan", "inf", "-inf", "1e999", "-2"])
+def test_parse_touchstone_names_the_non_finite_frequency(token, message):
     text = f"# Hz S RI R 50\n! c\n1 0 0\n{token} 0 0\n3 0 0\n"
     with pytest.raises(TouchstoneParseError) as exc:
         parse_touchstone(text)
-    assert str(exc.value) == "line 4: frequencies must be finite"
+    assert str(exc.value) == f"line 4: {message}"
     assert exc.value.line == 4
 
 
-@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
-def test_load_sweep_csv_names_the_non_finite_frequency(token):
+@pytest.mark.parametrize("token, message", [
+    ("nan", FINITE), ("inf", FINITE), ("-inf", FINITE), ("-1", NON_NEGATIVE),
+], ids=["nan", "inf", "-inf", "-1"])
+def test_load_sweep_csv_names_the_non_finite_frequency(token, message):
     rows = [f"{1e9 + 1e6 * k:.12g},0.5,0" for k in range(10)]
     rows[6] = f"{token},0.5,0"
     with pytest.raises(SweepGridError) as exc:
         load_sweep_csv("# sweep\nfreq_hz,re,im\n" + "\n".join(rows) + "\n")
-    assert str(exc.value) == "line 9: frequencies must be finite"
+    assert str(exc.value) == f"line 9: {message}"
+
+
+def test_zero_frequency_is_accepted():
+    net = parse_touchstone("# Hz S RI R 50\n0 0.5 0\n1e9 0.5 0\n")
+    assert net.f_min == 0.0
+    assert load_sweep_csv("freq_hz,re,im\n" + "".join(
+        f"{1e6 * k:.12g},0.5,0\n" for k in range(8))).frequencies[0] == 0.0
 
 
 def test_load_sweep_csv_names_the_falling_frequency():

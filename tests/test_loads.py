@@ -250,13 +250,6 @@ def test_synthesis_band_outside_switch_sweep():
         synthesize_stub_lengths(switch, lossless_line(), F_CENTER, (3.3e9, 3.8e9))
 
 
-def test_synthesis_weights_must_match_grid():
-    with pytest.raises(ValueError, match="weights"):
-        synthesize_stub_lengths(
-            None, lossless_line(), F_CENTER, (3.3e9, 3.8e9), weights=np.ones(5)
-        )
-
-
 def test_design_json_roundtrip_ideal():
     design = synthesize_stub_lengths(None, lossless_line(), F_CENTER, (F_CENTER, F_CENTER))
     back = StubNetworkDesign.from_json(design.to_json(f_center_hz=F_CENTER))

@@ -321,11 +321,15 @@ def oracle_load_sweep_csv(text):
             rows.append((line_no, *map(float, fields)))
         except ValueError:
             raise SweepGridError(f"non-numeric field in '{','.join(fields)}'", line_no) from None
-    # Rows are checked by line: non-finite frequencies, then their order, then
-    # the values; the size and uniform-step checks of Sweep come last.
+    # Rows are checked by line: non-finite frequencies, then negative ones, then
+    # their order, then the values; the size and uniform-step checks of Sweep
+    # come last.
     for line_no, f, _, _ in rows:
         if not math.isfinite(f):
             raise SweepGridError("frequencies must be finite", line_no)
+    for line_no, f, _, _ in rows:
+        if f < 0:
+            raise SweepGridError("frequencies must be non-negative", line_no)
     for (line_no, f, _, _), prev in zip(rows[1:], rows):
         if f <= prev[1]:
             raise SweepGridError("frequencies must be strictly increasing", line_no)
@@ -380,14 +384,17 @@ def oracle_parse_touchstone(text):
         )
     n_ports = 1 if n_values == 3 else 2
     # The records before the first one of another length form the frequency
-    # grid: it is checked for non-finite values, then for order, then the
-    # record of another length is reported.
+    # grid: it is checked for non-finite values, then for negative ones, then
+    # for order, then the record of another length is reported.
     n_points = next((k for k, (_, v) in enumerate(records) if len(v) != n_values), len(records))
     scale = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}[unit]
     freqs = [values[0] * scale for _, values in records[:n_points]]
     for (line_no, _), f_hz in zip(records, freqs):
         if not math.isfinite(f_hz):
             raise TouchstoneParseError("frequencies must be finite", line_no)
+    for (line_no, _), f_hz in zip(records, freqs):
+        if f_hz < 0:
+            raise TouchstoneParseError("frequencies must be non-negative", line_no)
     for (line_no, _), f_hz, prev_f in zip(records[1:], freqs[1:], freqs):
         if f_hz <= prev_f:
             raise TouchstoneParseError("frequencies must be strictly increasing", line_no)
