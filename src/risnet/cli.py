@@ -98,18 +98,8 @@ def _line_from_args(args, f_center: float, needed_by: str) -> loads.MicrostripLi
 
 
 def _resolution_bits(args, n_states: int) -> int:
-    """``--bits`` checked against a profile's state count, or inferred from it."""
-    if args.bits is not None:
-        if n_states != 2**args.bits:
-            raise UsageError(f"--bits {args.bits} does not match a profile with {n_states} states")
-        return args.bits
-    mapping = {2: 1, 4: 2, 8: 3}
-    if n_states not in mapping:
-        raise UsageError(
-            f"cannot infer resolution from {n_states} states; profiles with 2, 4 "
-            "or 8 states are supported"
-        )
-    return mapping[n_states]
+    """``--bits``, or the resolution of ``n_states``; the library checks that the two match."""
+    return args.bits or n_states.bit_length() - 1
 
 
 def cmd_parse(args) -> int:
@@ -160,10 +150,6 @@ def _load_profile_source(args, frequencies: np.ndarray, f_center: float):
 
 def cmd_profile(args) -> int:
     unit_cell = touchstone.parse_touchstone(_read_text(args.unit_cell))
-    if unit_cell.n_ports != 2:
-        raise InputDataError(
-            f"unit cell must be a 2-port, got {unit_cell.n_ports} ports"
-        )
     freqs = unit_cell.frequencies
     if args.band_low_hz is not None:
         freqs = freqs[freqs >= args.band_low_hz]
@@ -211,12 +197,8 @@ def cmd_bandwidth(args) -> int:
             raise InputDataError(
                 f"--virtual-2bit needs an 8-state profile, got {profile.n_states} states"
             )
-        if args.bits is not None and args.bits != 2:
-            raise UsageError("--virtual-2bit implies --bits 2")
         profile = metrics.select_states(profile, (0, 2, 4, 6))
-        bits = 2
-    else:
-        bits = _resolution_bits(args, profile.n_states)
+    bits = _resolution_bits(args, profile.n_states)
     report = metrics.bandwidth(profile, bits, args.f_center_hz)
     if args.format == "csv":
         _write_output(report.to_csv(comments=_stamp_comments(args)), args.out)
@@ -255,8 +237,6 @@ def cmd_pattern(args) -> int:
     theta_grid = _theta_grid(args)
     profile = touchstone.load_state_csv(_read_text(args.profile))
     bits = _resolution_bits(args, profile.n_states)
-    if bits not in (1, 3):
-        raise UsageError("pattern layouts support 1-bit and 3-bit resolutions")
     layout = arr.build_array(args.tiles_x, args.tiles_y, bits)
     f = args.f_center_hz
     gamma_states = profile.at_frequency(f)
@@ -294,8 +274,8 @@ def cmd_pattern(args) -> int:
         ("max_residual_deg", float(np.max(residual))),
     ]
     _write_output(pattern_csv, args.out)
-    if args.out is not None:
-        sys.stdout.write(_render(summary, args.format))
+    # stdout carries only the CSV when it goes there; the summary then goes to stderr.
+    (sys.stderr if args.out is None else sys.stdout).write(_render(summary, args.format))
     return 0
 
 
@@ -339,6 +319,15 @@ def cmd_gate(args) -> int:
 
 # Flags that more than one subcommand reads; each subcommand names its own.
 _SHARED_FLAGS = {
+    "--line-width-m": dict(type=float, default=None, help="microstrip width in metres"),
+    "--substrate-height-m": dict(type=float, default=0.8e-3,
+                                 help="substrate height in metres (default 0.8e-3)"),
+    "--epsilon-r": dict(type=float, default=4.9,
+                        help="substrate relative permittivity (default 4.9)"),
+    "--loss-db-per-m": dict(type=float, default=0.0,
+                            help="line loss in dB/m at the loss reference frequency"),
+    "--loss-ref-hz": dict(type=float, default=None,
+                          help="loss reference frequency (default: f_center)"),
     "--band-low-hz": dict(type=float, default=None,
                           help="lower band edge in Hz (default: n78 3.3e9 where a band is needed)"),
     "--band-high-hz": dict(type=float, default=None,
@@ -365,36 +354,26 @@ def _subparser(sub, name, func, flags, formats=(), **kwargs) -> argparse.Argumen
 
 
 def build_parser() -> argparse.ArgumentParser:
-    line = argparse.ArgumentParser(add_help=False)
-    line.add_argument("--line-width-m", type=float, default=None,
-                      help="microstrip width in metres")
-    line.add_argument("--substrate-height-m", type=float, default=0.8e-3,
-                      help="substrate height in metres (default 0.8e-3)")
-    line.add_argument("--epsilon-r", type=float, default=4.9,
-                      help="substrate relative permittivity (default 4.9)")
-    line.add_argument("--loss-db-per-m", type=float, default=0.0,
-                      help="line loss in dB/m at the loss reference frequency")
-    line.add_argument("--loss-ref-hz", type=float, default=None,
-                      help="loss reference frequency (default: f_center)")
-
     parser = argparse.ArgumentParser(
         prog="risnet",
         description="Network-level modeling of switched-load reflective surfaces",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    line = ("--line-width-m", "--substrate-height-m", "--epsilon-r", "--loss-db-per-m",
+            "--loss-ref-hz")
     band = ("--band-low-hz", "--band-high-hz", "--f-center-hz")
 
     p = _subparser(sub, "parse", cmd_parse, ("--out",), ("text", "json"),
                    help="summarize a Touchstone or state CSV file")
     p.add_argument("file")
 
-    p = _subparser(sub, "profile", cmd_profile, band + ("--out", "--stamp"), parents=[line],
+    p = _subparser(sub, "profile", cmd_profile, line + band + ("--out", "--stamp"),
                    help="cascade loads through a unit cell into a state CSV")
     p.add_argument("unit_cell", help="unit-cell 2-port Touchstone file (.s2p)")
     p.add_argument("--loads", required=True,
                    help="ideal-1bit | ideal-3bit | design .json | switch .s2p")
 
-    p = _subparser(sub, "synth", cmd_synth, band + ("--out",), parents=[line],
+    p = _subparser(sub, "synth", cmd_synth, line + band + ("--out",),
                    help="synthesize 8-state stub lengths for the 45-degree ladder")
     p.add_argument("--switch", default="ideal", help="'ideal' or a switch .s2p path")
     p.add_argument("--n-band-points", type=int, default=21,

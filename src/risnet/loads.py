@@ -33,7 +33,6 @@ SP8T_TARGETS_DEG = tuple(45.0 * i for i in range(8))
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _COARSE_POINTS = 64
-_MAX_ITER = 200
 
 # Design JSON field types; _REQUIRED marks a field without a default.
 _NUMBER = (int, float)
@@ -300,9 +299,8 @@ def _golden_section(fn, a: float, b: float, tol: float) -> float:
     c = b - _INV_PHI * h
     d = a + _INV_PHI * h
     fc, fd = fn(c), fn(d)
-    for _ in range(_MAX_ITER):
-        if b - a <= tol:
-            return (a + b) / 2.0
+    # Each step shrinks the bracket by the golden ratio: log((b - a) / tol) / 0.48 steps.
+    while b - a > tol:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
@@ -311,9 +309,7 @@ def _golden_section(fn, a: float, b: float, tol: float) -> float:
             a, c, fc = c, d, fd
             d = a + _INV_PHI * (b - a)
             fd = fn(d)
-    raise ConvergenceError(
-        f"stub length search did not converge within {_MAX_ITER} iterations"
-    )
+    return (a + b) / 2.0
 
 
 def synthesize_stub_lengths(

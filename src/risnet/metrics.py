@@ -120,22 +120,17 @@ def sigma_threshold(resolution_bits: int) -> float:
 
 
 def select_states(profile: ReflectionProfile, indices) -> ReflectionProfile:
-    """Restrict a profile to a power-of-two subset of its states.
+    """Restrict a profile to a subset of its states.
 
     Dropping every second state of an 8-state profile (indices 0, 2, 4, 6)
     produces the virtual 2-bit variant used for like-for-like comparisons.
+    The subset's :class:`ReflectionProfile` rejects a repeated state or a count not a power of two.
     """
-    wanted = [int(i) for i in indices]
-    n = len(wanted)
-    if n < 1 or (n & (n - 1)) != 0:
-        raise ValueError(f"selected state count {n} is not a power of two")
     positions = []
-    for i in sorted(set(wanted)):
+    for i in sorted(int(i) for i in indices):
         if i not in profile.states:
             raise ValueError(f"unknown state index {i}")
         positions.append(profile.states.index(i))
-    if len(positions) != n:
-        raise ValueError("duplicate state indices in selection")
     return ReflectionProfile(
         states=tuple(profile.states[p] for p in positions),
         frequencies=profile.frequencies,

@@ -494,6 +494,7 @@ def load_state_csv(text: str) -> ReflectionProfile:
         raise StateCsvError("no data rows", 1)
 
     table = values.reshape(-1, 4)
+    _reject_rows(table[:, 0] < 0, StateCsvError, "frequencies must be non-negative", line_nos)
     freqs = _sorted_unique(table[:, 0])
     states = _sorted_unique(table[:, 1])
     k = np.searchsorted(freqs, table[:, 0])

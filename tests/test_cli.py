@@ -722,6 +722,55 @@ def test_binary_input_exits_3(tmp_path, capsys, argv):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def write_even_profile(path, n):
+    """A profile of ``n`` states spread evenly in phase on the 3.3-3.8 GHz grid."""
+    lines = ["freq_hz,state,mag_db,phase_deg"]
+    lines += [f"{f:.12g},{s},0,{360.0 * s / n:.12g}"
+              for s in range(n) for f in np.linspace(3.3e9, 3.8e9, 5)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+# Checks the library owns: the CLI reports each with the library's message and exit code.
+@pytest.mark.parametrize("argv, code, message", [
+    (["bandwidth", "8.csv", "--bits", "2"], 2,
+     "profile has 8 states, expected 4 for 2-bit resolution"),
+    (["bandwidth", "1.csv"], 2, "unsupported resolution 0 (expected 1, 2 or 3)"),
+    (["bandwidth", "16.csv"], 2, "unsupported resolution 4 (expected 1, 2 or 3)"),
+    (["bandwidth", "8.csv", "--virtual-2bit", "--bits", "3"], 2,
+     "profile has 4 states, expected 8 for 3-bit resolution"),
+    (["pattern", "1.csv"], 2, "resolution_bits must be 1 or 3"),
+    (["pattern", "4.csv"], 2, "resolution_bits must be 1 or 3"),
+    (["pattern", "16.csv"], 2, "resolution_bits must be 1 or 3"),
+    (["pattern", "8.csv", "--bits", "1"], 2, "8 states do not match 1-bit resolution"),
+    (["pattern", "2.csv", "--bits", "3"], 2, "2 states do not match 3-bit resolution"),
+    (["profile", "cell.s1p", "--loads", "ideal-1bit"], 3, "need a 2-port network, got 1 ports"),
+], ids=["bandwidth-bits-2-on-8", "bandwidth-1-state", "bandwidth-16-states",
+        "bandwidth-virtual-2bit-bits-3", "pattern-1-state", "pattern-4-states",
+        "pattern-16-states", "pattern-bits-1-on-8", "pattern-bits-3-on-2", "profile-1-port-cell"])
+def test_library_checks_exit_with_their_message(tmp_path, monkeypatch, capsys, argv, code,
+                                                message):
+    for n in (1, 2, 4, 8, 16):
+        write_even_profile(tmp_path / f"{n}.csv", n)
+    (tmp_path / "cell.s1p").write_text("# Hz S RI R 50\n3e9 0.5 0\n4e9 0.5 0\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_pattern_summary_goes_to_stderr_when_the_csv_goes_to_stdout(tmp_path, capsys):
+    csv_path = ladder(tmp_path)
+    out = tmp_path / "pattern.csv"
+    assert cli.main(["pattern", csv_path, "--format", "json", "--out", str(out)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert cli.main(["pattern", csv_path, "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == out.read_text(encoding="utf-8")
+    rows = [r.split(",") for r in captured.out.splitlines()]
+    assert rows[0] == ["theta_deg", "phi_deg", "af_db"] and len(rows) == 362
+    assert all(len(r) == 3 and all(is_number(v) for v in r) for r in rows[1:])
+    assert json.loads(captured.err) == summary
+
+
 @pytest.fixture(scope="module")
 def fuzz_files(tmp_path_factory):
     """Tiny inputs of every kind the CLI reads, plus wrong kinds and missing paths."""

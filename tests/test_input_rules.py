@@ -166,6 +166,15 @@ def test_non_finite_values_name_their_line_without_warnings(read, text, error, l
     assert exc.value.line == line
 
 
+def test_load_state_csv_names_the_negative_frequency():
+    rows = [f"{f:g},{s},0,{180 * s}" for s in range(2) for f in (1e6, 2e6, 3e6)]
+    rows[4] = "-2e6,1,0,180"
+    with pytest.raises(StateCsvError) as exc:
+        load_state_csv("# states\n" + STATE_HEADER + "\n".join(rows) + "\n")
+    assert str(exc.value) == f"line 7: {NON_NEGATIVE}"
+    assert exc.value.line == 7
+
+
 def test_sigma_functions_work_along_the_last_axis():
     rng = np.random.default_rng(3)
     phases = rng.uniform(-720.0, 720.0, size=(6, 8))

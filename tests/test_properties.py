@@ -279,6 +279,9 @@ def oracle_load_state_csv(text):
         line_nos.append(line_no)
     if not rows:
         raise StateCsvError("no data rows", 1)
+    for line_no, f_hz in zip(line_nos, rows[::4]):
+        if f_hz < 0:
+            raise StateCsvError("frequencies must be non-negative", line_no)
     table = np.array(rows).reshape(-1, 4)
     freqs = np.unique(table[:, 0])
     states = np.unique(table[:, 1])

@@ -8,7 +8,7 @@ Usage (from any directory):
 An empty or missing ``IN_DIR`` is filled once with the seed-5 benchmark
 fixtures of ``perfbench/fixtures.py`` (401- and 1601-point unit cells and
 switches, a synthesized stub design, state CSVs and gating sweeps) and a few
-malformed files. A non-empty ``IN_DIR`` is read as it is, so two checkouts
+malformed or unsupported files. A non-empty ``IN_DIR`` is read as it is, so two checkouts
 can be run on the same files. Each invocation runs as ``python -m risnet.cli``
 (the ``risnet`` on PYTHONPATH, by default this checkout's) in its own
 directory ``OUT_DIR/<case>``, on inputs under the relative path ``in/``.
@@ -95,6 +95,17 @@ CASES = {
     "gate-stamp": ["gate", "in/dut.csv", *GATE, "--stamp"],
     "gate-no-reference": ["gate", "in/dut.csv", *GATE, "--normalize"],
     "gate-negative-sweep": ["gate", "in/negative_sweep.csv", *GATE],
+    # Resolution and port rules the library checks; the CLI passes them through.
+    "bandwidth-bits-mismatch": ["bandwidth", "in/p3_401.csv", "--bits", "2"],
+    "bandwidth-1-state": ["bandwidth", "in/states1.csv"],
+    "bandwidth-16-states": ["bandwidth", "in/states16.csv"],
+    "bandwidth-2bit-bits-3": ["bandwidth", "in/p3_401.csv", "--virtual-2bit", "--bits", "3"],
+    "pattern-1-state": ["pattern", "in/states1.csv"],
+    "pattern-4-states": ["pattern", "in/states4.csv"],
+    "pattern-16-states": ["pattern", "in/states16.csv"],
+    "pattern-1bit-8-states": ["pattern", "in/p3_401.csv", "--bits", "1"],
+    "pattern-3bit-2-states": ["pattern", "in/p1_401.csv", "--bits", "3"],
+    "profile-1-port-cell": ["profile", "in/cell.s1p", "--loads", "ideal-1bit"],
 }
 
 
@@ -122,12 +133,17 @@ def fill(in_dir: Path) -> None:
     files["p100.csv"] = "freq_hz,state,mag_db,phase_deg\n" + "".join(
         f"{fk:.12g},{s},0,{100 * s}\n" for s in range(2) for fk in f[::40]
     )
+    for n in (1, 4, 16):
+        files[f"states{n}.csv"] = "freq_hz,state,mag_db,phase_deg\n" + "".join(
+            f"{fk:.12g},{s},0,{360 * s / n:g}\n" for s in range(n) for fk in f[::40]
+        )
     dut, plate = fx.gate_scene(SEED).sweeps(grids[1601])
     files["dut.csv"] = gating.dump_sweep_csv(dut)
     files["plate.csv"] = gating.dump_sweep_csv(plate)
     files["dut.s1p"] = touchstone.serialize_touchstone(gating.sweep_to_network(dut), "RI", "GHz")
 
     files["dc.s1p"] = "# Hz S RI R 50\n0 0.5 0\n1e9 0.5 0\n"
+    files["cell.s1p"] = "# Hz S RI R 50\n3e9 0.5 0\n4e9 0.5 0\n"
     files["negative.s1p"] = "# Hz S RI R 50\n-2 0 0\n-1 0 0\n0 0 0\n"
     files["negative_states.csv"] = "freq_hz,state,mag_db,phase_deg\n" + "".join(
         f"{fk:g},{s},0,{180 * s}\n" for s in range(2) for fk in (-1e6, 0.0, 1e6)
