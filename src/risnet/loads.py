@@ -293,25 +293,6 @@ def ideal_sp8t_design(line: MicrostripLine, f_center: float) -> StubNetworkDesig
     return StubNetworkDesign(states=tuple(states), line=line, switch=None)
 
 
-def _golden_section(fn, a: float, b: float, tol: float) -> float:
-    """Minimize ``fn`` on [a, b]; assumes the bracket holds a single minimum."""
-    h = b - a
-    c = b - _INV_PHI * h
-    d = a + _INV_PHI * h
-    fc, fd = fn(c), fn(d)
-    # Each step shrinks the bracket by the golden ratio: log((b - a) / tol) / 0.48 steps.
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = fn(d)
-    return (a + b) / 2.0
-
-
 def synthesize_stub_lengths(
     switch: PortNetwork | None,
     line: MicrostripLine,
@@ -321,12 +302,14 @@ def synthesize_stub_lengths(
 ) -> StubNetworkDesign:
     """Fit the eight stub lengths to the 45-degree phase ladder over a band.
 
-    Terminations come from the minimal-length zero-loss rule; each length is
-    then found independently by golden-section search over [0, lambda_g/2)
-    minimizing the weighted mean-square circular error between the realized
+    Terminations come from the minimal-length zero-loss rule. Each length
+    minimizes the weighted mean-square circular error between the realized
     and target phases on the band grid (``n_band_points`` >= 2 uniform points,
-    or the single point for a degenerate band). A coarse scan brackets the
-    minimum first since the objective is periodic in length.
+    or the single point for a degenerate band) over [0, lambda_g/2). The
+    objective is periodic in length, so a 64-point scan brackets each minimum
+    first; golden-section searches then refine all eight brackets in lockstep,
+    one objective call on (8, n) lengths per step, until each is narrower than
+    lambda_g/2 * 1e-9. A state's result does not depend on the others.
 
     Per-state residuals are reported at ``f_center``; for an ideal switch
     and moderate fractional bandwidths (the 14% default band included) they
@@ -354,35 +337,53 @@ def synthesize_stub_lengths(
 
     s_grid = None if switch is None else interp_s(switch, grid)
     s_center = None if switch is None else interp_s(switch, np.array([f_center]))
+    terms = [_lossless_solution_deg(target)[0] for target in SP8T_TARGETS_DEG]
+    # A short is an open stub times -1: exact, so one stub call serves both.
+    signs = np.where(np.array(terms) == "open", 1.0, -1.0)[:, None, None]
+    targets = np.array(SP8T_TARGETS_DEG)[:, None, None]
 
-    def realized_phase_deg(lengths, term: str, freqs, s, state: int) -> np.ndarray:
-        """Phases (lengths x freqs) of one state's stub behind the switch."""
-        g = stub_reflection(np.reshape(lengths, (-1, 1)), term, freqs, line)
+    def phase_error_deg(lengths, freqs, s) -> np.ndarray:
+        """Wrapped phase errors (states x lengths x freqs) of the stubs behind the switch."""
+        g = signs * stub_reflection(lengths[..., None], "open", freqs, line)
         if s is not None:
-            g = cascade(s, g, lambda jk: f"state {state} at {freqs[jk[1]]} Hz")
-        return np.angle(g, deg=True)
+            g = cascade(s, g, lambda ijk: f"state {ijk[0]} at {freqs[ijk[2]]} Hz")
+        return _wrap180(np.angle(g, deg=True) - targets)
+
+    def objective(lengths) -> np.ndarray:
+        return np.sum(w * phase_error_deg(lengths, grid, s_grid) ** 2, axis=2)
 
     period = guided_wavelength(line, f_center) / 2.0
     tol = period * 1e-9
     coarse = np.linspace(0.0, period, _COARSE_POINTS, endpoint=False)
-    states = []
-    for i, target in enumerate(SP8T_TARGETS_DEG):
-        term, _ = _lossless_solution_deg(target)
-
-        def objective(lengths, _term=term, _target=target, _state=i):
-            err = _wrap180(realized_phase_deg(lengths, _term, grid, s_grid, _state) - _target)
-            return np.sum(w * err**2, axis=1)
-
-        values = objective(coarse)
-        if not np.all(np.isfinite(values)):
-            raise ConvergenceError(
-                f"non-finite synthesis objective for state {i} (pathological switch data)"
-            )
-        k = int(np.argmin(values))
-        a = coarse[k - 1] if k > 0 else 0.0
-        b = coarse[k + 1] if k + 1 < _COARSE_POINTS else period
-        length = _golden_section(lambda x: float(objective(x)[0]), a, b, tol)
-        phase_at_center = realized_phase_deg(length, term, np.array([f_center]), s_center, i)
-        residual = abs(float(_wrap180(phase_at_center - target)[0, 0]))
-        states.append(StubState(state=i, termination=term, length_m=length, residual_deg=residual))
-    return StubNetworkDesign(states=tuple(states), line=line, switch=switch)
+    values = objective(coarse[None, :])
+    bad = ~np.isfinite(values).all(axis=1)
+    if bad.any():
+        raise ConvergenceError(
+            f"non-finite synthesis objective for state {np.argmax(bad)} (pathological switch data)"
+        )
+    # Golden-section search on (8,) brackets. Each step shrinks every live
+    # bracket by the golden ratio, so the period*1e-9 tolerance is reached in
+    # about 36 steps; a converged state keeps its bracket while others go on.
+    k = np.argmin(values, axis=1)
+    edges = np.append(coarse, period)  # coarse[0] is 0.0, the lowest bound
+    a, b = edges[np.maximum(k - 1, 0)], edges[k + 1]
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = objective(np.stack([c, d], axis=1)).T
+    while (live := b - a > tol).any():
+        left = fc < fd  # the minimum lies in [a, d], else in [c, b]
+        a2, b2 = np.where(left, a, c), np.where(left, d, b)
+        x = np.where(left, b2 - _INV_PHI * (b2 - a2), a2 + _INV_PHI * (b2 - a2))
+        fx = objective(x[:, None])[:, 0]
+        step = (a2, b2, np.where(left, x, d), np.where(left, c, x),
+                np.where(left, fx, fd), np.where(left, fc, fx))
+        a, b, c, d, fc, fd = np.where(live, step, (a, b, c, d, fc, fd))
+    lengths = (a + b) / 2.0
+    residuals = np.abs(phase_error_deg(lengths[:, None], np.array([f_center]), s_center))
+    states = tuple(
+        StubState(state=i, termination=term, length_m=length, residual_deg=residual)
+        for i, (term, length, residual) in enumerate(
+            zip(terms, lengths.tolist(), residuals.ravel().tolist())
+        )
+    )
+    return StubNetworkDesign(states=states, line=line, switch=switch)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputDataError
 from .touchstone import ReflectionProfile, _csv_text, _format_rows, _require_in_sweep
 
 # Maximum allowed sigma (degrees) per nominal resolution; used verbatim.
@@ -129,7 +130,7 @@ def select_states(profile: ReflectionProfile, indices) -> ReflectionProfile:
     positions = []
     for i in sorted(int(i) for i in indices):
         if i not in profile.states:
-            raise ValueError(f"unknown state index {i}")
+            raise InputDataError(f"unknown state index {i}")
         positions.append(profile.states.index(i))
     return ReflectionProfile(
         states=tuple(profile.states[p] for p in positions),

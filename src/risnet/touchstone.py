@@ -365,17 +365,21 @@ def _format_rows(row_format: str, *columns) -> str:
     return (row_format * len(columns[0])) % tuple(flat)
 
 
-def _polar_columns(v: np.ndarray, fmt: str) -> tuple:
+def _polar_columns(v: np.ndarray, fmt: str, where) -> tuple:
     """Two columns of ``v`` in format ``fmt`` (RI, MA or DB), angles in degrees.
 
-    An exact zero gets angle 0 and, in DB, the ``_DB_FLOOR`` magnitude.
+    An exact zero gets angle 0 and, in DB, the ``_DB_FLOOR`` magnitude. A
+    magnitude past the float range would print as ``inf``, which no reader
+    accepts, so it raises InputDataError naming ``where(k)``, ``k`` its index.
     """
     if fmt == "ri":
         return v.real, v.imag
     # hypot rounds exactly like the scalar abs(); np.abs can differ in the last bit.
-    # A magnitude past the float range is written as inf, without a numpy warning.
     with np.errstate(over="ignore", divide="ignore"):
         mag = np.hypot(v.real, v.imag)
+        if np.isinf(mag).any():
+            k = int(np.argmax(np.isinf(mag)))
+            raise InputDataError(f"{where(k)}: the magnitude of {v[k]} overflows the float range")
         live = mag > 0
         ang = np.where(live, np.angle(v, deg=True), 0.0)
         return (mag if fmt == "ma" else np.where(live, 20.0 * np.log10(mag), _DB_FLOOR)), ang
@@ -397,11 +401,13 @@ def serialize_touchstone(net: PortNetwork, format: str = "RI", freq_unit: str = 
         raise ValueError(f"unknown frequency unit '{freq_unit}'")
     if net.n_ports > 2:
         raise ValueError("only 1- and 2-port networks can be serialized")
-    entries = net.s.reshape(net.frequencies.size, -1)[:, _COLUMN_ORDER[:net.n_ports**2]]
+    order = _COLUMN_ORDER[:net.n_ports**2]
+    entries = net.s.reshape(net.frequencies.size, -1)[:, order]
     unit_label = {"hz": "Hz", "khz": "kHz", "mhz": "MHz", "ghz": "GHz"}[unit]
     columns = [net.frequencies / _FREQ_SCALE[unit]]
-    for v in entries.T:
-        columns.extend(_polar_columns(v, fmt))
+    for c, v in zip(order, entries.T):
+        name = f"S{c // net.n_ports + 1}{c % net.n_ports + 1}"
+        columns.extend(_polar_columns(v, fmt, lambda k: f"{name} at {net.frequencies[k]} Hz"))
     head = "".join(f"! {c}\n" for c in comments)
     head += f"# {unit_label} S {fmt.upper()} R {_fmt(net.reference_impedance)}\n"
     return head + _format_rows("%.12g" + " %.12g %.12g" * len(entries.T) + "\n", *columns)
@@ -532,7 +538,8 @@ def dump_state_csv(profile: ReflectionProfile, comments: tuple = ()) -> str:
     """Render a profile as state CSV text (inverse of :func:`load_state_csv`)."""
     f_text = [_fmt(f_hz) for f_hz in profile.frequencies.tolist()]
     body = "".join(
-        _format_rows(f"%s,{state},%.12g,%.12g\n", f_text, *_polar_columns(g, "db"))
+        _format_rows(f"%s,{state},%.12g,%.12g\n", f_text, *_polar_columns(
+            g, "db", lambda k: f"state {state} at {profile.frequencies[k]} Hz"))
         for state, g in zip(profile.states, profile.gamma)
     )
     return _csv_text(STATE_CSV_HEADER, comments, body)

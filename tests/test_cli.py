@@ -757,6 +757,15 @@ def test_library_checks_exit_with_their_message(tmp_path, monkeypatch, capsys, a
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_virtual_2bit_on_states_labelled_from_1_exits_3(tmp_path, capsys):
+    path = tmp_path / "p.csv"
+    rows = [f"{f:.12g},{s + 1},0,{45.0 * s:.12g}"
+            for s in range(8) for f in np.linspace(3.3e9, 3.8e9, 5)]
+    path.write_text("freq_hz,state,mag_db,phase_deg\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    assert cli.main(["bandwidth", str(path), "--virtual-2bit"]) == 3
+    assert capsys.readouterr().err == "error: unknown state index 0\n"
+
+
 def test_pattern_summary_goes_to_stderr_when_the_csv_goes_to_stdout(tmp_path, capsys):
     csv_path = ladder(tmp_path)
     out = tmp_path / "pattern.csv"

@@ -18,7 +18,14 @@ from risnet.gating import Sweep, load_sweep_csv
 from risnet.loads import MicrostripLine, synthesize_stub_lengths
 from risnet.metrics import bandwidth, circular_gaps, effective_bits, sigma_phase
 from risnet.network import interp_s
-from risnet.touchstone import PortNetwork, ReflectionProfile, load_state_csv, parse_touchstone
+from risnet.touchstone import (
+    PortNetwork,
+    ReflectionProfile,
+    dump_state_csv,
+    load_state_csv,
+    parse_touchstone,
+    serialize_touchstone,
+)
 
 # A grid value and the rule it breaks: non-finite first, then negative.
 FINITE = "frequencies must be finite"
@@ -173,6 +180,37 @@ def test_load_state_csv_names_the_negative_frequency():
         load_state_csv("# states\n" + STATE_HEADER + "\n".join(rows) + "\n")
     assert str(exc.value) == f"line 7: {NON_NEGATIVE}"
     assert exc.value.line == 7
+
+
+# A finite value whose magnitude is past the float range.
+OVERFLOW = 1.7e308 + 1.7e308j
+
+
+def overflowing_network():
+    s = np.zeros((GRID.size, 2, 2), complex)
+    s[1, 1, 0] = OVERFLOW
+    return PortNetwork(2, 50.0, GRID, s)
+
+
+@pytest.mark.parametrize("write, named", [
+    (lambda: dump_state_csv(ReflectionProfile((0, 1), GRID[:1], np.array([[1.0], [OVERFLOW]]))),
+     "state 1 at 3000000000.0 Hz"),
+    (lambda: serialize_touchstone(overflowing_network(), "MA"), "S21 at 3300000000.0 Hz"),
+    (lambda: serialize_touchstone(overflowing_network(), "DB"), "S21 at 3300000000.0 Hz"),
+], ids=["state_csv", "touchstone_ma", "touchstone_db"])
+def test_writers_reject_a_magnitude_past_the_float_range(write, named):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputDataError) as exc:
+            write()
+    assert str(exc.value) == (
+        f"{named}: the magnitude of (1.7e+308+1.7e+308j) overflows the float range"
+    )
+
+
+def test_touchstone_ri_writes_an_overflowing_magnitude_exactly():
+    net = overflowing_network()
+    assert np.array_equal(parse_touchstone(serialize_touchstone(net, "RI", "Hz")).s, net.s)
 
 
 def test_sigma_functions_work_along_the_last_axis():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.constants import c as C0
@@ -248,6 +250,19 @@ def test_synthesis_band_outside_switch_sweep():
     switch = thru_switch(np.array([3.5e9, 3.7e9]))
     with pytest.raises(FrequencyRangeError):
         synthesize_stub_lengths(switch, lossless_line(), F_CENTER, (3.3e9, 3.8e9))
+
+
+def test_synthesis_names_the_singular_state_and_frequency():
+    # S22 = -1 meets the short's gamma = -1 at length 0, the first point of the
+    # coarse scan; the band grid avoids f_center, where an open stub a quarter
+    # wave long would also be singular.
+    band = (3.5e9, 3.7e9)
+    switch = thru_switch(np.linspace(3.0e9, 4.0e9, 11), s22=-1.0)
+    with pytest.raises(SingularityError) as exc:
+        synthesize_stub_lengths(switch, lossless_line(), F_CENTER, band, n_band_points=4)
+    state, f_hz = re.match(r"cascade singular for state (\d) at (\S+) Hz", str(exc.value)).groups()
+    assert ideal_sp8t_design(lossless_line(), F_CENTER).states[int(state)].termination == "short"
+    assert float(f_hz) in np.linspace(*band, 4)
 
 
 def test_design_json_roundtrip_ideal():

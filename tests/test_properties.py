@@ -1,5 +1,5 @@
-"""Property-based checks of the broadcasting network and metrics core and of
-the numeric-text readers and writers."""
+"""Property-based checks of the broadcasting network and metrics core, of stub
+synthesis against its closed form, and of the numeric-text readers and writers."""
 
 import io
 import math
@@ -21,6 +21,12 @@ from risnet.errors import (
     TouchstoneParseError,
 )
 from risnet.gating import SWEEP_CSV_HEADER, Sweep, dump_sweep_csv, load_sweep_csv
+from risnet.loads import (
+    MicrostripLine,
+    guided_wavelength,
+    ideal_sp8t_design,
+    synthesize_stub_lengths,
+)
 from risnet.metrics import (
     BandwidthReport,
     _passing_band,
@@ -82,6 +88,42 @@ def test_cascade_matches_moebius_closed_form(case):
     assert got.shape == gamma.shape
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
     assert np.all(np.abs(got) <= 1.0 + 1e-9)
+
+
+@st.composite
+def lossless_designs(draw):
+    """A lossless microstrip line and a design center frequency inside n78."""
+    line = MicrostripLine(
+        width=draw(st.floats(0.2e-3, 5e-3)),
+        substrate_height=draw(st.floats(0.1e-3, 2e-3)),
+        epsilon_r=draw(st.floats(1.0, 12.0)),
+    )
+    return line, draw(st.floats(3.3e9, 3.8e9))
+
+
+@property_settings
+@given(lossless_designs())
+def test_synthesis_at_one_frequency_is_the_closed_form(design):
+    line, f_center = design
+    got = synthesize_stub_lengths(None, line, f_center, (f_center, f_center)).states
+    want = ideal_sp8t_design(line, f_center).states
+    lam_g = guided_wavelength(line, f_center)
+    tol = lam_g / 2.0 * 1e-9  # the golden-section search tolerance
+    assert [s.termination for s in got] == [s.termination for s in want]
+    assert [s.termination for s in got].count("open") == 4
+    for g, w in zip(got, want):
+        assert abs(g.length_m - w.length_m) <= tol
+        # The shorter of the open and short solutions is never above 67.5 degrees.
+        assert g.length_m <= 67.5 / 360.0 * lam_g + tol
+
+
+@property_settings
+@given(lossless_designs(), st.floats(1e-4, 0.07))
+def test_synthesis_on_a_symmetric_band_stays_within_a_degree_at_center(design, half_width):
+    line, f_center = design
+    band = (f_center * (1.0 - half_width), f_center * (1.0 + half_width))
+    states = synthesize_stub_lengths(None, line, f_center, band).states
+    assert all(s.residual_deg < 1.0 for s in states)
 
 
 @st.composite
