@@ -119,11 +119,31 @@ def steering_codebook(layout: ArrayLayout, gamma_states, direction, f: float) ->
     k0 = 2.0 * np.pi * f / C0
     psi = np.rad2deg(-k0 * np.sin(theta) * (x * np.cos(phi) + y * np.sin(phi))) % 360.0
 
-    state_phases = np.angle(gamma_states, deg=True)
-    dist = np.abs(_wrap180(psi[..., np.newaxis] - state_phases[np.newaxis, np.newaxis, :]))
-    state_map = np.argmin(dist, axis=-1).astype(int)
-    residual = np.min(dist, axis=-1)
-    return state_map, residual
+    # States on axis 0, so the wrap runs on whole (cells_y, cells_x) planes
+    # and min reduces plane by plane. psi lies in [0, 360] (the % can round
+    # up to 360) and np.angle in [-180, 180], so v = d + 180, d = psi - angle,
+    # lies in [0, 720]. There v - 360 is exact (Sterbenz) and equals v % 360
+    # wherever v >= 360, except at v = 720, where % gives 0; 0 and 360 are
+    # both 180 from 180, so |v - 180| keeps the bits of |_wrap180(d)|.
+    v = psi - np.angle(gamma_states, deg=True)[:, np.newaxis, np.newaxis]
+    v += 180.0
+    np.subtract(v, 360.0, out=v, where=v >= 360.0)
+    v -= 180.0
+    dist = np.abs(v, out=v)
+    return np.argmin(dist, axis=0), np.min(dist, axis=0)
+
+
+def _steering_vectors(u, coords, k0: float) -> np.ndarray:
+    """exp(j*k0*outer(u, coords)) from the right half of centred coords (see array_factor)."""
+    n = coords.size // 2
+    out = np.zeros((u.size, 2 * n), dtype=complex)
+    right = out[:, n:]
+    phase = right.imag
+    np.multiply.outer(u, coords[n:], out=phase)
+    phase *= k0
+    np.exp(right, out=right)
+    np.conjugate(right[:, ::-1], out=out[:, :n])
+    return out
 
 
 def array_factor(
@@ -144,7 +164,10 @@ def array_factor(
     (len(theta_deg), len(phi_az_deg)) squeezed to 1-D when a single azimuth
     is given. Normalize against its own max for dB plots. On the regular cell
     grid the sum factors as a_y(v)^T G a_x(u) with G the (cells_y, cells_x)
-    gamma grid, so memory is O(directions * (cells_x + cells_y)).
+    gamma grid, so memory is O(directions * (cells_x + cells_y)). The cell
+    coordinates are centred and even in count, hence exactly antisymmetric,
+    so a_x and a_y exponentiate only their right halves: the left half is
+    conj(right[:, ::-1]), the same bits as the full exponential.
     """
     state_map = np.asarray(state_map)
     if state_map.shape != (layout.cells_y, layout.cells_x):
@@ -167,8 +190,8 @@ def array_factor(
     sin_t = np.sin(theta)[:, np.newaxis]
     ux = (sin_t * np.cos(phi)).ravel()
     uy = (sin_t * np.sin(phi)).ravel()
-    a_x = np.exp(1j * k0 * np.multiply.outer(ux, x[0]))
-    a_y = np.exp(1j * k0 * np.multiply.outer(uy, y[:, 0]))
+    a_x = _steering_vectors(ux, x[0], k0)
+    a_y = _steering_vectors(uy, y[:, 0], k0)
     af = np.sum((a_y @ gamma_states[state_map]) * a_x, axis=1).reshape(theta.size, phi.size)
     if element_exponent:
         # A reflecting surface radiates into its front half-space only.

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from risnet.array import (
     C0,
     ArrayLayout,
+    _wrap180,
     array_factor,
     build_array,
     led_color,
@@ -39,6 +40,36 @@ def direct_sum_af(layout, state_map, gamma_states, f, theta_deg, phi_az_deg=0.0,
     if element_exponent:
         af = af * np.cos(theta)[:, np.newaxis] ** element_exponent
     return af if af.shape[1] > 1 else af[:, 0]
+
+
+def full_exp_af(layout, state_map, gamma_states, f, theta_deg, phi_az_deg, element_exponent):
+    """Reference array factor on the separable path with every steering exponential computed."""
+    theta = np.deg2rad(np.atleast_1d(np.asarray(theta_deg, dtype=float)))
+    phi = np.deg2rad(np.atleast_1d(np.asarray(phi_az_deg, dtype=float)))
+    x, y = layout.cell_positions()
+    k0 = 2.0 * np.pi * f / C0
+    sin_t = np.sin(theta)[:, np.newaxis]
+    ux = (sin_t * np.cos(phi)).ravel()
+    uy = (sin_t * np.sin(phi)).ravel()
+    a_x = np.exp(1j * k0 * np.multiply.outer(ux, x[0]))
+    a_y = np.exp(1j * k0 * np.multiply.outer(uy, y[:, 0]))
+    gamma = np.asarray(gamma_states, dtype=complex)[state_map]
+    af = np.sum((a_y @ gamma) * a_x, axis=1).reshape(theta.size, phi.size)
+    if element_exponent:
+        af = af * np.maximum(np.cos(theta), 0.0)[:, np.newaxis] ** element_exponent
+    return af if af.shape[1] > 1 else af[:, 0]
+
+
+def wrap_codebook(layout, gamma_states, direction, f):
+    """Reference codebook: |_wrap180| distances over a trailing state axis."""
+    theta_deg, phi_az_deg = direction
+    theta = np.deg2rad(theta_deg)
+    phi = np.deg2rad(phi_az_deg)
+    x, y = layout.cell_positions()
+    k0 = 2.0 * np.pi * f / C0
+    psi = np.rad2deg(-k0 * np.sin(theta) * (x * np.cos(phi) + y * np.sin(phi))) % 360.0
+    dist = np.abs(_wrap180(psi[..., np.newaxis] - np.angle(gamma_states, deg=True)))
+    return np.argmin(dist, axis=-1), np.min(dist, axis=-1)
 
 
 def test_build_array_wall_geometry():
@@ -201,6 +232,71 @@ def test_array_factor_matches_direct_sum(wall, f, theta, phi, q):
     assert af.shape == ref.shape
     scale = np.sum(np.abs(gammas[state_map]))
     assert np.max(np.abs(af - ref)) <= 1e-12 * scale
+
+
+tile_counts = st.integers(1, 64)
+pitches = st.floats(1e-4, 1.0)
+
+
+@settings(deadline=None, max_examples=200)
+@given(tile_counts, tile_counts, pitches, pitches)
+def test_cell_positions_are_exactly_antisymmetric(tiles_x, tiles_y, pitch_x, pitch_y):
+    # The premise of array_factor's conjugate half: coords[::-1] == -coords, bit for bit.
+    x, y = ArrayLayout(tiles_x, tiles_y, 1, pitch_x, pitch_y).cell_positions()
+    assert np.array_equal(x[0][::-1], -x[0]) and np.array_equal(y[:, 0][::-1], -y[:, 0])
+    assert np.all(x[0][x.shape[1] // 2:] > 0) and np.all(y[:, 0][y.shape[0] // 2:] > 0)
+
+
+# State gammas with exact +-180 degree phases (the two signs of zero), quadrature
+# points that tie at psi = 0 or 180, and repeats that tie exactly.
+special_gammas = st.sampled_from((
+    complex(-1.0, 0.0), complex(-1.0, -0.0), 1.0 + 0j, 1j, -1j, 0.5 + 0.5j, -0.25 - 0.25j,
+))
+drawn_gammas = st.builds(lambda mag, deg: mag * np.exp(1j * np.deg2rad(deg)),
+                         st.floats(0.05, 1.0), st.floats(-360.0, 360.0))
+
+
+@st.composite
+def wide_walls(draw):
+    """A wall of 1-64 tiles per side with random pitches and state gammas."""
+    layout = ArrayLayout(draw(tile_counts), draw(tile_counts), draw(st.sampled_from((1, 3))),
+                         draw(pitches), draw(pitches))
+    n = 2**layout.resolution_bits
+    gammas = np.array(draw(st.lists(special_gammas | drawn_gammas, min_size=n, max_size=n)))
+    return layout, gammas
+
+
+steer_thetas = st.sampled_from((0.0, -0.0)) | st.floats(-89.99, 89.99)
+frequencies = st.floats(1e8, 1e11)
+
+
+@settings(deadline=None, max_examples=200)
+@given(wide_walls(), steer_thetas, st.floats(-720.0, 720.0), frequencies)
+def test_codebook_equals_the_trailing_axis_wrap(wall, theta, phi, f):
+    layout, gammas = wall
+    state_map, residual = steering_codebook(layout, gammas, (theta, phi), f)
+    ref_map, ref_residual = wrap_codebook(layout, gammas, (theta, phi), f)
+    assert state_map.dtype == np.intp and np.array_equal(state_map, ref_map)
+    assert residual.tobytes() == ref_residual.tobytes()
+
+
+exponents = st.sampled_from((0.0, 1.0)) | st.floats(0.0, 4.0)
+cut_thetas = st.lists(st.sampled_from((0.0, 90.0, -90.0)) | st.floats(-120.0, 120.0),
+                      min_size=1, max_size=40)
+
+
+@settings(deadline=None, max_examples=150)
+@given(wide_walls(), st.integers(0, 2**32 - 1), frequencies, cut_thetas,
+       azimuths_deg | st.lists(azimuths_deg, min_size=2, max_size=12), exponents)
+def test_array_factor_equals_the_full_exponential_path(wall, seed, f, theta, phi, q):
+    # Same bits as exponentiating every cell column, not just the right half.
+    layout, gammas = wall
+    state_map = np.random.default_rng(seed).integers(
+        0, len(gammas), (layout.cells_y, layout.cells_x))
+    af = array_factor(layout, state_map, gammas, f, theta, phi, element_exponent=q)
+    ref = full_exp_af(layout, state_map, gammas, f, theta, phi, q)
+    assert af.shape == ref.shape
+    assert np.array_equal(af.view(float), ref.view(float))
 
 
 def test_array_factor_memory_stays_small():
