@@ -167,7 +167,8 @@ def array_factor(
     gamma grid, so memory is O(directions * (cells_x + cells_y)). The cell
     coordinates are centred and even in count, hence exactly antisymmetric,
     so a_x and a_y exponentiate only their right halves: the left half is
-    conj(right[:, ::-1]), the same bits as the full exponential.
+    conj(right[:, ::-1]), the bits of the full exponential except the sign
+    of a zero imaginary part where u or v is 0.
     """
     state_map = np.asarray(state_map)
     if state_map.shape != (layout.cells_y, layout.cells_x):

@@ -289,14 +289,15 @@ cut_thetas = st.lists(st.sampled_from((0.0, 90.0, -90.0)) | st.floats(-120.0, 12
 @given(wide_walls(), st.integers(0, 2**32 - 1), frequencies, cut_thetas,
        azimuths_deg | st.lists(azimuths_deg, min_size=2, max_size=12), exponents)
 def test_array_factor_equals_the_full_exponential_path(wall, seed, f, theta, phi, q):
-    # Same bits as exponentiating every cell column, not just the right half.
+    # Same bits as exponentiating every cell column, not just the right half,
+    # signs of zero included.
     layout, gammas = wall
     state_map = np.random.default_rng(seed).integers(
         0, len(gammas), (layout.cells_y, layout.cells_x))
     af = array_factor(layout, state_map, gammas, f, theta, phi, element_exponent=q)
     ref = full_exp_af(layout, state_map, gammas, f, theta, phi, q)
     assert af.shape == ref.shape
-    assert np.array_equal(af.view(float), ref.view(float))
+    assert af.tobytes() == ref.tobytes()
 
 
 def test_array_factor_memory_stays_small():

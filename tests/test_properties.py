@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -716,9 +716,9 @@ edge_floats = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False, width=64),
     st.floats(-10.0, 10.0),
 )
+finite_complex = st.builds(complex, edge_floats, edge_floats)
 # Finite values whose magnitude overflows, which the MA and DB writers reject.
-finite_complex = st.builds(complex, edge_floats, edge_floats) | st.sampled_from(
-    (complex(1.7e308, 1.7e308), complex(-1.3e308, 1.3e308)))
+OVER, OVER2 = complex(1.7e308, 1.7e308), complex(-1.3e308, 1.3e308)
 
 
 @st.composite
@@ -734,6 +734,13 @@ def serializable_networks(draw):
 @property_settings
 @given(serializable_networks(), st.sampled_from(("RI", "MA", "DB")),
        st.sampled_from(("Hz", "kHz", "MHz", "GHz")), st.sampled_from(((), ("a", "b c"))))
+@example(PortNetwork(1, 50.0, np.array([1e9]), np.array([[[OVER]]])), "MA", "GHz", ())
+@example(PortNetwork(1, 50.0, np.array([1e9]), np.array([[[OVER]]])), "RI", "Hz", ())
+# S21 precedes S12 in the writer's order, so the overflow at 2 GHz is the one named.
+@example(PortNetwork(2, 50.0, np.array([1e9, 2e9]), np.array(
+    [[[0.5, OVER2], [0.1j, 0.0]], [[0.5, 0.0], [OVER, 0.0]]])), "DB", "MHz", ("a",))
+@example(PortNetwork(2, 50.0, np.array([1e9, 2e9]), np.array(
+    [[[0.5, OVER2], [0.1j, 0.0]], [[0.5, 0.0], [OVER, 0.0]]])), "MA", "kHz", ())
 def test_touchstone_writer_matches_per_row_oracle(net, fmt, unit, comments):
     expected = outcome(lambda n: oracle_serialize_touchstone(n, fmt, unit, comments), net)
     assert outcome(lambda n: serialize_touchstone(n, fmt, unit, comments=comments), net) == expected
@@ -742,6 +749,9 @@ def test_touchstone_writer_matches_per_row_oracle(net, fmt, unit, comments):
 @property_settings
 @given(st.sampled_from((1, 2, 4)).flatmap(lambda n: st.tuples(
     st.just(n), st.integers(1, 5), st.lists(finite_complex, min_size=5 * n, max_size=5 * n))))
+@example((1, 1, [OVER] + [0.5] * 4))
+# States are written in turn, so state 0's overflow at the second frequency is named.
+@example((2, 2, [0.5, OVER2, OVER] + [0.5j] * 7))
 def test_state_csv_writer_matches_per_row_oracle(case):
     n, n_freqs, values = case
     gamma = np.array(values[:n * n_freqs]).reshape(n, n_freqs)
