@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputDataError
+
 # Speed of light in vacuum, m/s (exact SI value).
 C0 = 299_792_458.0
 
@@ -92,6 +94,17 @@ def _wrap180(deg):
     return (np.asarray(deg) + 180.0) % 360.0 - 180.0
 
 
+def _states_and_wavenumber(gamma_states, f: float) -> tuple:
+    """(``gamma_states`` as a complex array, free-space wavenumber at ``f``), both checked."""
+    gamma_states = np.asarray(gamma_states, dtype=complex)
+    if not np.isfinite(gamma_states).all():
+        raise ValueError("gamma_states must be finite")
+    k0 = 2.0 * np.pi * float(f) / C0
+    if not 0.0 < k0 < np.inf:
+        raise ValueError(f"f must be finite and > 0 (with a finite wavenumber), got {f}")
+    return gamma_states, k0
+
+
 def steering_codebook(layout: ArrayLayout, gamma_states, direction, f: float) -> tuple:
     """Quantized per-cell state map steering toward ``direction``.
 
@@ -101,8 +114,10 @@ def steering_codebook(layout: ArrayLayout, gamma_states, direction, f: float) ->
     (cells_y, cells_x); the residual is each cell's circular distance from
     its ideal continuous phase and never exceeds half the largest gap
     between available state phases. Exact ties go to the lowest state index.
+    Non-finite ``gamma_states``, or an ``f`` that is not finite and > 0 or
+    whose wavenumber overflows, raise ValueError.
     """
-    gamma_states = np.asarray(gamma_states, dtype=complex)
+    gamma_states, k0 = _states_and_wavenumber(gamma_states, f)
     if len(gamma_states) != 2**layout.resolution_bits:
         raise ValueError(
             f"{len(gamma_states)} states do not match "
@@ -116,7 +131,6 @@ def steering_codebook(layout: ArrayLayout, gamma_states, direction, f: float) ->
     theta = np.deg2rad(theta_deg)
     phi = np.deg2rad(phi_az_deg)
     x, y = layout.cell_positions()
-    k0 = 2.0 * np.pi * f / C0
     psi = np.rad2deg(-k0 * np.sin(theta) * (x * np.cos(phi) + y * np.sin(phi))) % 360.0
 
     # States on axis 0, so the wrap runs on whole (cells_y, cells_x) planes
@@ -168,7 +182,9 @@ def array_factor(
     coordinates are centred and even in count, hence exactly antisymmetric,
     so a_x and a_y exponentiate only their right halves: the left half is
     conj(right[:, ::-1]), the bits of the full exponential except the sign
-    of a zero imaginary part where u or v is 0.
+    of a zero imaginary part where u or v is 0. ``gamma_states`` and ``f``
+    are checked as in :func:`steering_codebook`; a sum past the float range
+    raises InputDataError naming its direction.
     """
     state_map = np.asarray(state_map)
     if state_map.shape != (layout.cells_y, layout.cells_x):
@@ -176,24 +192,32 @@ def array_factor(
             f"state map shape {state_map.shape} does not match layout "
             f"({layout.cells_y}, {layout.cells_x})"
         )
-    gamma_states = np.asarray(gamma_states, dtype=complex)
+    gamma_states, k0 = _states_and_wavenumber(gamma_states, f)
     if np.any(state_map < 0) or np.any(state_map >= len(gamma_states)):
         raise ValueError("state map indices out of range")
     if not (np.isfinite(element_exponent) and element_exponent >= 0):
         raise ValueError(f"element_exponent must be finite and >= 0, got {element_exponent}")
-    theta = np.deg2rad(np.atleast_1d(np.asarray(theta_deg, dtype=float)))
-    phi = np.deg2rad(np.atleast_1d(np.asarray(phi_az_deg, dtype=float)))
+    theta_deg = np.atleast_1d(np.asarray(theta_deg, dtype=float))
+    phi_az_deg = np.atleast_1d(np.asarray(phi_az_deg, dtype=float))
+    theta, phi = np.deg2rad(theta_deg), np.deg2rad(phi_az_deg)
     if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(phi))):
         raise ValueError("theta_deg and phi_az_deg must be finite")
     x, y = layout.cell_positions()
-    k0 = 2.0 * np.pi * f / C0
 
     sin_t = np.sin(theta)[:, np.newaxis]
     ux = (sin_t * np.cos(phi)).ravel()
     uy = (sin_t * np.sin(phi)).ravel()
     a_x = _steering_vectors(ux, x[0], k0)
     a_y = _steering_vectors(uy, y[:, 0], k0)
-    af = np.sum((a_y @ gamma_states[state_map]) * a_x, axis=1).reshape(theta.size, phi.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        af = np.sum((a_y @ gamma_states[state_map]) * a_x, axis=1).reshape(theta.size, phi.size)
+    bad = ~np.isfinite(af)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise InputDataError(
+            f"array factor at theta {theta_deg[i]:.12g} deg, phi {phi_az_deg[j]:.12g} deg "
+            "is past the float range"
+        )
     if element_exponent:
         # A reflecting surface radiates into its front half-space only.
         af = af * np.maximum(np.cos(theta), 0.0)[:, np.newaxis] ** element_exponent

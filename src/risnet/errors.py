@@ -1,8 +1,15 @@
 """Exception types shared across the toolkit.
 
-Two families matter to callers: :class:`InputDataError` for malformed or
-inconsistent input (maps to CLI exit code 3) and :class:`NumericalError`
-for failures arising during computation (exit code 4).
+Each kind of fault raises one family, which the CLI maps to one exit code:
+
+- :class:`InputDataError` (exit 3): malformed or inconsistent input (files,
+  grids, sweep ranges), and any value past the float range that a stage
+  computes from it; the stage that computes the value names it.
+- :class:`NumericalError` (exit 4): a computation that finite, well-formed
+  input cannot carry out (a singular cascade, a gate outside the sweep's
+  time span, a reference or pattern too small to normalize against).
+- Plain ``ValueError`` (exit 2): a parameter outside its domain, such as a
+  nonphysical flag value.
 """
 
 from __future__ import annotations
@@ -41,10 +48,6 @@ class NumericalError(ArithmeticError):
 
 class SingularityError(NumericalError):
     """Cascade denominator collapsed (nonphysical load/network pairing)."""
-
-
-class ConvergenceError(NumericalError):
-    """Iterative search failed to converge within its iteration budget."""
 
 
 class GateSpanError(NumericalError):

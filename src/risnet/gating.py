@@ -128,8 +128,21 @@ def _tukey(m: int, alpha: float) -> np.ndarray:
     return np.concatenate((w1, w2, w3))
 
 
+def _finite_sweep(frequencies: np.ndarray, values: np.ndarray, what: str) -> Sweep:
+    """``Sweep(frequencies, values)``, naming the first value past the float range."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise SweepGridError(
+            f"{what} value at {frequencies[np.argmax(bad)]} Hz is past the float range"
+        )
+    return Sweep(frequencies=frequencies, values=values)
+
+
 def time_gate(sweep: Sweep, gate: GateSpec) -> Sweep:
-    """Keep only the response inside the gate interval, on the same grid."""
+    """Keep only the response inside the gate interval, on the same grid.
+
+    A gated value past the float range raises SweepGridError naming its frequency.
+    """
     n = sweep.frequencies.size
     span = sweep.alias_free_span
     if gate.t_start >= span:
@@ -138,7 +151,6 @@ def time_gate(sweep: Sweep, gate: GateSpec) -> Sweep:
         )
     w = np.kaiser(n, gate.pre_window)
     m = _PAD_FACTOR * n
-    h = np.fft.ifft(sweep.values * w, n=m)
     t = np.arange(m) / (m * sweep.delta_f)
     mask = (t >= gate.t_start) & (t <= gate.t_stop)
     count = int(np.count_nonzero(mask))
@@ -146,15 +158,18 @@ def time_gate(sweep: Sweep, gate: GateSpec) -> Sweep:
         raise GateSpanError("gate interval narrower than the time-sample spacing")
     g = np.zeros(m)
     g[mask] = _tukey(count, gate.window_shape)
-    gated = np.fft.fft(h * g)[:n]
-    return Sweep(frequencies=sweep.frequencies, values=gated / np.maximum(w, _WINDOW_FLOOR))
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = np.fft.ifft(sweep.values * w, n=m)
+        gated = np.fft.fft(h * g)[:n] / np.maximum(w, _WINDOW_FLOOR)
+    return _finite_sweep(sweep.frequencies, gated, "gated")
 
 
 def normalize_to_plate(dut: Sweep, reference: Sweep) -> Sweep:
     """Absolute reflection from a measurement and a metal-plate reference.
 
     Models the plate as a perfect reflector (gamma = -1 at normal
-    incidence), so the result is -dut/reference.
+    incidence), so the result is -dut/reference. A result past the float
+    range raises SweepGridError naming its frequency.
     """
     if not np.array_equal(dut.frequencies, reference.frequencies):
         raise SweepGridError("measurement and reference must share one frequency grid")
@@ -165,7 +180,9 @@ def normalize_to_plate(dut: Sweep, reference: Sweep) -> Sweep:
             f"reference magnitude {mags[k]:.3e} at {reference.frequencies[k]} Hz "
             "too small to normalize against"
         )
-    return Sweep(frequencies=dut.frequencies, values=-dut.values / reference.values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = -dut.values / reference.values
+    return _finite_sweep(dut.frequencies, values, "normalized")
 
 
 def low_confidence_edges(sweep: Sweep) -> tuple:

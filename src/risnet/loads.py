@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .array import C0, _wrap180
-from .errors import ConvergenceError, InputDataError
+from .errors import InputDataError
 from .network import cascade, interp_s
 from .touchstone import (
     PortNetwork,
@@ -84,8 +84,8 @@ class StubState:
     def __post_init__(self):
         if self.termination not in TERMINATIONS:
             raise ValueError(f"termination must be one of {TERMINATIONS}")
-        if self.length_m < 0:
-            raise ValueError("stub length must be >= 0")
+        if not 0 <= self.length_m < math.inf:
+            raise ValueError("stub length must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -220,18 +220,24 @@ def stub_reflection(length, termination: str, f, line: MicrostripLine):
 
     Lossless phase is exp(-j*2*beta*l), negated for a short; magnitude decays
     with the round-trip line loss. ``length`` and ``f`` may be scalars or
-    arrays that broadcast together.
+    arrays that broadcast together. A loss or phase past the float range
+    raises InputDataError.
     """
     if termination not in TERMINATIONS:
         raise ValueError(f"termination must be one of {TERMINATIONS}")
     if np.any(np.asarray(length) < 0):
         raise ValueError("stub length must be >= 0")
     f = np.asarray(f, dtype=float)
-    beta = 2.0 * np.pi * f * math.sqrt(microstrip_eeff(line)) / C0
-    alpha_db = line.loss_db_per_m * np.sqrt(f / line.reference_frequency)
-    mag = 10.0 ** (-2.0 * alpha_db * length / 20.0)
     sign = 1.0 if termination == "open" else -1.0
-    out = sign * mag * np.exp(-2j * beta * length)
+    with np.errstate(over="ignore", invalid="ignore"):
+        beta = 2.0 * np.pi * f * math.sqrt(microstrip_eeff(line)) / C0
+        alpha_db = line.loss_db_per_m * np.sqrt(f / line.reference_frequency)
+        mag = 10.0 ** (-2.0 * alpha_db * length / 20.0)
+        out = sign * mag * np.exp(-2j * beta * length)
+    if not np.isfinite(out).all():  # the phase grows with f, so it overflows at the top
+        cause = (f"line loss of {line.loss_db_per_m:.12g} dB/m" if not np.isfinite(mag).all()
+                 else f"stub phase at {np.max(f):.12g} Hz")
+        raise InputDataError(f"the {cause} overflows the stub model")
     return out if out.ndim else complex(out)
 
 
@@ -320,6 +326,8 @@ def synthesize_stub_lengths(
         raise ValueError(f"band [{f_lo}, {f_hi}] Hz must contain f_center {f_center} Hz")
     if f_lo <= 0:
         raise ValueError("band frequencies must be > 0")
+    if not (f_hi - f_lo) * (f_hi - f_lo) * n_band_points < math.inf:  # keeps sum(offsets**2) finite
+        raise ValueError(f"band [{f_lo}, {f_hi}] Hz is too wide to weight")
     if switch is not None:
         _require_in_sweep(switch.frequencies, (f_lo, f_hi))
     if f_hi > f_lo and n_band_points < 2:
@@ -355,16 +363,10 @@ def synthesize_stub_lengths(
     period = guided_wavelength(line, f_center) / 2.0
     tol = period * 1e-9
     coarse = np.linspace(0.0, period, _COARSE_POINTS, endpoint=False)
-    values = objective(coarse[None, :])
-    bad = ~np.isfinite(values).all(axis=1)
-    if bad.any():
-        raise ConvergenceError(
-            f"non-finite synthesis objective for state {np.argmax(bad)} (pathological switch data)"
-        )
     # Golden-section search on (8,) brackets. Each step shrinks every live
     # bracket by the golden ratio, so the period*1e-9 tolerance is reached in
     # about 36 steps; a converged state keeps its bracket while others go on.
-    k = np.argmin(values, axis=1)
+    k = np.argmin(objective(coarse[None, :]), axis=1)
     edges = np.append(coarse, period)  # coarse[0] is 0.0, the lowest bound
     a, b = edges[np.maximum(k - 1, 0)], edges[k + 1]
     c = b - _INV_PHI * (b - a)

@@ -35,27 +35,31 @@ def interp_s(net: PortNetwork, f) -> np.ndarray:
 def cascade(s: np.ndarray, gamma_load, where=str) -> np.ndarray:
     """Surface reflection of two-ports ``s`` (shape ``(..., 2, 2)``) terminated in ``gamma_load``.
 
-    ``s[..., i, j]`` broadcasts against ``gamma_load``. If any denominator
-    1 - S22*gamma_load has magnitude at or below :data:`SINGULARITY_TOL`,
-    raises :class:`SingularityError` naming the first such point as
-    ``where(index)``, ``index`` being its position in the broadcast shape,
-    so a caller can name it by state and frequency.
+    ``s[..., i, j]`` broadcasts against ``gamma_load``. A denominator
+    1 - S22*gamma_load at or below :data:`SINGULARITY_TOL` in magnitude raises
+    :class:`SingularityError`; a denominator or result past the float range
+    raises :class:`InputDataError`. Both name the first such point as
+    ``where(index)``, ``index`` being its place in the broadcast shape.
     """
     s = np.asarray(s, dtype=complex)
     if s.shape[-2:] != (2, 2):
         raise InputDataError(f"need a 2-port network, got {s.shape[-1]} ports")
-    den = 1.0 - s[..., 1, 1] * gamma_load
-    bad = np.abs(den) <= SINGULARITY_TOL
-    if np.any(bad):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        den = 1.0 - s[..., 1, 1] * gamma_load
+        singular = np.abs(den) <= SINGULARITY_TOL
+        # In place, to hold one broadcast-shaped temporary instead of three.
+        gamma = s[..., 1, 0] * s[..., 0, 1] * gamma_load
+        gamma /= den
+        gamma += s[..., 0, 0]
+    if singular.any() or not (np.isfinite(gamma).all() and np.isfinite(den).all()):
+        bad = singular | ~(np.isfinite(gamma) & np.isfinite(den))
         index = tuple(int(i) for i in np.argwhere(bad)[0])
+        if not singular[index]:
+            raise InputDataError(f"cascade result for {where(index)} is past the float range")
         raise SingularityError(
             f"cascade singular for {where(index)}: denominator magnitude "
             f"{abs(den[index]):.3e} <= {SINGULARITY_TOL} (resonant load/network pairing)"
         )
-    # In place, to hold one broadcast-shaped temporary instead of three.
-    gamma = s[..., 1, 0] * s[..., 0, 1] * gamma_load
-    gamma /= den
-    gamma += s[..., 0, 0]
     return gamma
 
 

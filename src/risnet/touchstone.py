@@ -72,6 +72,8 @@ class PortNetwork:
             raise InputDataError("n_ports must be >= 1")
         if self.reference_impedance <= 0:
             raise InputDataError("reference impedance must be > 0")
+        if not math.isfinite(self.reference_impedance):
+            raise InputDataError("reference impedance must be finite")
         freqs = _frequency_grid(self.frequencies)
         if s.shape != (freqs.size, self.n_ports, self.n_ports):
             raise InputDataError(
@@ -204,6 +206,8 @@ def _parse_option_line(line: str, line_no: int):
                 raise TouchstoneParseError(f"bad reference impedance '{value}'", line_no) from None
             if seen[kind] <= 0:
                 raise TouchstoneParseError("reference impedance must be > 0", line_no)
+            if not math.isfinite(seen[kind]):
+                raise TouchstoneParseError(f"reference impedance '{value}' is not finite", line_no)
     unit, fmt, _, z0 = (seen.get(kind, default) for kind, _, default in _OPTION_KINDS)
     return unit, fmt, z0
 

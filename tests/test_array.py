@@ -18,6 +18,7 @@ from risnet.array import (
     state_map_to_text,
     steering_codebook,
 )
+from risnet.errors import InputDataError
 
 F = 3.6e9
 IDEAL_3BIT = np.exp(1j * np.deg2rad(np.arange(8) * 45.0))
@@ -333,6 +334,31 @@ def test_array_factor_rejects_nonphysical_arguments(kwargs, named):
 def test_codebook_rejects_non_finite_azimuth(phi):
     with pytest.raises(ValueError, match="phi_az_deg"):
         steering_codebook(build_array(1, 1, 1), IDEAL_1BIT, (10.0, phi), F)
+
+
+@pytest.mark.parametrize("gamma_states, f, named", [
+    ([1.0, np.nan], F, "gamma_states"),
+    ([1.0, complex(0.0, np.inf)], F, "gamma_states"),
+    (IDEAL_1BIT, np.nan, "f must be"),
+    (IDEAL_1BIT, np.inf, "f must be"),
+    (IDEAL_1BIT, 0.0, "f must be"),
+    (IDEAL_1BIT, -F, "f must be"),
+    (IDEAL_1BIT, np.float64(1e308), "finite wavenumber"),
+])
+def test_codebook_and_array_factor_reject_non_finite_states_and_bad_f(gamma_states, f, named):
+    layout = build_array(1, 1, 1)
+    with pytest.raises(ValueError, match=named):
+        steering_codebook(layout, gamma_states, (20.0, 0.0), f)
+    with pytest.raises(ValueError, match=named):
+        array_factor(layout, np.zeros((4, 4), int), gamma_states, f, [0.0, 10.0])
+
+
+def test_array_factor_names_a_sum_past_the_float_range():
+    layout = build_array(1, 1, 1)
+    gamma_states = np.array([1e308, -1e308])
+    assert np.isfinite(array_factor(layout, np.zeros((4, 4), int), gamma_states / 16, F, [0.0]))
+    with pytest.raises(InputDataError, match=r"^array factor at theta 0 deg, phi 0 deg is past"):
+        array_factor(layout, np.zeros((4, 4), int), gamma_states, F, [0.0, 30.0])
 
 
 def test_power_consumption_exact():

@@ -877,7 +877,6 @@ def fuzz_argv(draw, sub):
     return argv
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN and inf inputs are the point
 @pytest.mark.parametrize("sub", sorted(FUZZ_ARGS))
 def test_cli_fuzz_exit_codes(fuzz_files, monkeypatch, sub):
     """Every drawn argv exits 0, 2, 3 or 4; any other exception fails the test."""
@@ -894,3 +893,79 @@ def test_cli_fuzz_exit_codes(fuzz_files, monkeypatch, sub):
         assert code in (0, 2, 3, 4), argv
 
     run()
+
+
+def write_sweep_csv(path, value, n=64):
+    rows = [f"{f:.12g},{value.real:.12g},{value.imag:.12g}" for f in np.linspace(3.0e9, 4.2e9, n)]
+    path.write_text("freq_hz,re,im\n" + "\n".join(rows) + "\n", encoding="utf-8")
+
+
+def write_uniform_profile(path, mag_db):
+    rows = [f"{f:.12g},{s},{mag_db},{45.0 * s}"
+            for s in range(8) for f in np.linspace(3.3e9, 3.8e9, 5)]
+    path.write_text("freq_hz,state,mag_db,phase_deg\n" + "\n".join(rows) + "\n", encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def fault_files(tmp_path_factory):
+    """Finite inputs whose results overflow, or vanish, somewhere in the pipeline."""
+    d = tmp_path_factory.mktemp("faults")
+    rows = [f"{f:.12g} 0 0 1e200 0 1e200 0 0 0" for f in np.linspace(3.0e9, 4.2e9, 13)]
+    (d / "huge_s21.s2p").write_text("# Hz S RI R 50\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    for z in ("nan", "inf", "1e400"):
+        (d / f"z_{z}.s1p").write_text(f"# Hz S RI R {z}\n3e9 0.5 0\n4e9 0.5 0\n", encoding="utf-8")
+    write_uniform_profile(d / "huge_gamma.csv", 6160)  # |gamma| = 1e308
+    write_uniform_profile(d / "zero_gamma.csv", -7000)  # |gamma| = 1e-350, read as 0
+    write_ideal_3bit_profile(d / "ladder.csv", np.linspace(3.3e9, 3.8e9, 5))
+    write_sweep_csv(d / "huge.csv", 1e307 + 1e307j)
+    write_sweep_csv(d / "big.csv", 1e305)
+    write_sweep_csv(d / "small.csv", 1e-5)
+    doc = json.loads(ideal_sp8t_design(MicrostripLine(1.5e-3, 0.8e-3, 4.9), 3.6e9).to_json())
+    doc["states"][3]["length_m"] = float("inf")
+    (d / "inf_stub.json").write_text(json.dumps(doc), encoding="utf-8")  # writes Infinity
+    write_thru_s2p(d / "thru.s2p")
+    return d
+
+
+GATE_FLAGS = ["--t-start-s", "0", "--t-stop-s", "6e-9"]
+
+
+# Each fault is reported once, by the stage that meets it, with no numpy warning.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, code, message", [
+    (["synth", "--line-width-m", "1.5e-3", "--switch", "huge_s21.s2p"], 3,
+     "cascade result for state 0 at 3300000000.0 Hz is past the float range"),
+    (["profile", "huge_s21.s2p", "--loads", "ideal-1bit"], 3,
+     "cascade result for state 0 at 3000000000.0 Hz is past the float range"),
+    (["synth", "--line-width-m", "1.5e-3", "--loss-db-per-m", "1e308"], 3,
+     "the line loss of 1e+308 dB/m overflows the stub model"),
+    (["synth", "--line-width-m", "1.5e-3", "--band-high-hz", "inf"], 2,
+     "band [3300000000.0, inf] Hz is too wide to weight"),
+    (["profile", "thru.s2p", "--loads", "inf_stub.json"], 3,
+     "design JSON: stub length must be finite and >= 0"),
+    (["pattern", "huge_gamma.csv"], 3,
+     "array factor at theta -90 deg, phi 0 deg is past the float range"),
+    (["pattern", "zero_gamma.csv"], 4,
+     "the array factor is 0 on the whole cut; no peak to normalize to"),
+    (["pattern", "ladder.csv", "--element-exponent", "1e6", "--theta-start-deg", "10"], 4,
+     "the array factor is 0 on the whole cut; no peak to normalize to"),
+    (["gate", "huge.csv", *GATE_FLAGS], 3,
+     "gated value at 3000000000.0 Hz is past the float range"),
+    (["gate", "big.csv", *GATE_FLAGS, "--normalize", "--reference", "small.csv"], 3,
+     "normalized value at 3000000000.0 Hz is past the float range"),
+    (["parse", "z_nan.s1p", "--format", "json"], 3,
+     "line 1: reference impedance 'nan' is not finite"),
+    (["parse", "z_inf.s1p", "--format", "json"], 3,
+     "line 1: reference impedance 'inf' is not finite"),
+    (["parse", "z_1e400.s1p", "--format", "json"], 3,
+     "line 1: reference impedance '1e400' is not finite"),
+], ids=["synth-switch-overflow", "profile-unit-cell-overflow", "synth-loss-overflow",
+        "synth-infinite-band", "profile-infinite-stub", "pattern-sum-overflow",
+        "pattern-zero-gammas", "pattern-zero-element-factor", "gate-overflow",
+        "gate-normalize-overflow", "parse-z0-nan", "parse-z0-inf", "parse-z0-1e400"])
+def test_each_fault_exits_with_one_line(fault_files, monkeypatch, capsys, argv, code, message):
+    monkeypatch.chdir(fault_files)
+    assert cli.main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert "nan" not in captured.out.lower()

@@ -186,6 +186,20 @@ def test_normalize_reference_underflow():
         normalize_to_plate(dut, ref)
 
 
+def test_gate_names_the_first_value_past_the_float_range():
+    freqs = np.linspace(3.0e9, 4.2e9, 64)
+    huge = Sweep(freqs, np.full(freqs.size, 1e307 + 1e307j))
+    with pytest.raises(SweepGridError, match=r"^gated value at 3000000000\.0 Hz is past"):
+        time_gate(huge, GateSpec(0.0, 6e-9))
+
+
+def test_normalize_names_the_first_value_past_the_float_range():
+    dut = synth_multipath([(0.0, 1e305)], FREQS)
+    ref = Sweep(FREQS, np.r_[np.ones(9), np.full(FREQS.size - 9, 1e-5)])
+    with pytest.raises(SweepGridError, match=rf"^normalized value at {FREQS[9]} Hz is past"):
+        normalize_to_plate(dut, ref)
+
+
 def test_low_confidence_edges():
     sweep = synth_multipath([(0.0, 1.0)], FREQS)
     lo, hi = low_confidence_edges(sweep)

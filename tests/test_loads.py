@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.constants import c as C0
 
-from risnet.errors import FrequencyRangeError, SingularityError
+from risnet.errors import FrequencyRangeError, InputDataError, SingularityError
 from risnet.loads import (
     MicrostripLine,
     StubNetworkDesign,
@@ -185,8 +185,9 @@ def test_design_validation():
         StubNetworkDesign(states=states, line=line)
     with pytest.raises(ValueError):
         StubState(state=0, termination="grounded", length_m=0.0)
-    with pytest.raises(ValueError):
-        StubState(state=0, termination="open", length_m=-1e-3)
+    for length in (-1e-3, np.inf, np.nan):
+        with pytest.raises(ValueError, match="stub length must be finite and >= 0"):
+            StubState(state=0, termination="open", length_m=length)
 
 
 def test_synthesis_closed_form_at_center():
@@ -292,3 +293,24 @@ def test_design_json_roundtrip_with_switch():
 def test_guided_wavelength_vacuum():
     line = lossless_line(epsilon_r=1.0)
     np.testing.assert_allclose(guided_wavelength(line, C0), 1.0, rtol=1e-12)
+
+
+def test_synthesis_names_an_overflowing_switch():
+    switch = thru_switch(np.linspace(3.0e9, 4.2e9, 13), s21=1e200)
+    with pytest.raises(InputDataError, match=r"^cascade result for state 0 at 3300000000\.0 Hz"):
+        synthesize_stub_lengths(switch, lossless_line(), F_CENTER, (3.3e9, 3.8e9))
+
+
+def test_stub_model_names_what_overflows():
+    line = MicrostripLine(1.5e-3, 0.8e-3, 4.9, loss_db_per_m=1e308)
+    with pytest.raises(InputDataError, match=r"^the line loss of 1e\+308 dB/m overflows"):
+        synthesize_stub_lengths(None, line, F_CENTER, (3.3e9, 3.8e9))
+    assert stub_reflection(0.01, "open", 3.3e9, line) == 0  # all lost, not past the range
+    with pytest.raises(InputDataError, match=r"^the stub phase at 1e\+308 Hz overflows"):
+        stub_reflection(0.01, "open", [3.3e9, 1e308], lossless_line())
+
+
+@pytest.mark.parametrize("band", [(3.3e9, np.inf), (1.0, 1e160)])
+def test_synthesis_rejects_a_band_too_wide_to_weight(band):
+    with pytest.raises(ValueError, match="too wide to weight"):
+        synthesize_stub_lengths(None, lossless_line(), 3.6e9, band)

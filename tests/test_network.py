@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from risnet.errors import FrequencyRangeError, SingularityError
+from risnet.errors import FrequencyRangeError, InputDataError, SingularityError
 from risnet.network import (
     TwoPortPoint,
     cascade_reflection,
@@ -179,3 +179,21 @@ def test_profile_singularity_annotates_state_and_frequency():
     )
     with pytest.raises(SingularityError, match="state 1 at 3500000000"):
         profile_from_network(net, loads)
+
+
+def test_profile_past_the_float_range_names_state_and_frequency():
+    freqs = np.array([3.0e9, 4.0e9])
+    s = np.zeros((2, 2, 2), complex)
+    s[:, 0, 1] = s[:, 1, 0] = 1e200
+    loads = ReflectionProfile((0, 1), freqs, [[1.0, 1.0], [-1.0, -1.0]])
+    with pytest.raises(InputDataError, match=r"^cascade result for state 0 at 3000000000\.0 Hz"):
+        profile_from_network(PortNetwork(2, 50.0, freqs, s), loads)
+
+
+def test_an_infinite_denominator_is_past_the_float_range():
+    # S22*gamma overflows while S21*S12*gamma does not: the finite quotient
+    # 0 would silently drop a term of -0.5.
+    p = TwoPortPoint(3.6e9, 0.0, 1e150, 1e150, 2e300)
+    assert cascade_reflection(p, 1e7) == pytest.approx(-0.5)
+    with pytest.raises(InputDataError, match=r"frequency 3600000000\.0 Hz is past the float range"):
+        cascade_reflection(p, 1e8)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from risnet.errors import StateCsvError, TouchstoneParseError
+from risnet.errors import InputDataError, StateCsvError, TouchstoneParseError
 from risnet.touchstone import (
     PortNetwork,
     ReflectionProfile,
@@ -80,6 +80,9 @@ def test_parse_comments_and_inline_comments():
         ("[Version] 2.0\n# Hz S RI R 50\n1 0 0\n", "v2 keyword", 1),
         ("# Hz S RI R 50\n1 zz 0\n", "non-numeric", 2),
         ("# Hz S RI R -50\n1 0 0\n", "impedance", 1),
+        ("! c\n# Hz S RI R nan\n1 0 0\n", "reference impedance 'nan' is not finite", 2),
+        ("# Hz S RI R inf\n1 0 0\n", "reference impedance 'inf' is not finite", 1),
+        ("# Hz S RI R 1e400\n1 0 0\n", "reference impedance '1e400' is not finite", 1),
         # a noise-parameter record must hold 5 values, and S-data may not follow
         (NOISY_S2P.replace("3.5 1.6 0.31 46 0.21", "3.5 1.6 0.31 46"),
          "expected 5 values per noise-parameter record, got 4", 6),
@@ -153,6 +156,9 @@ def test_port_network_invariants():
         PortNetwork(1, 50.0, np.array([2.0, 1.0]), np.zeros((2, 1, 1), complex))
     with pytest.raises(ValueError, match="impedance"):
         PortNetwork(1, 0.0, np.array([1.0]), np.zeros((1, 1, 1), complex))
+    for z0 in (np.nan, np.inf):
+        with pytest.raises(InputDataError, match="reference impedance must be finite"):
+            PortNetwork(1, z0, np.array([1.0]), np.zeros((1, 1, 1), complex))
     with pytest.raises(ValueError, match="shape"):
         PortNetwork(2, 50.0, np.array([1.0]), np.zeros((1, 1, 1), complex))
 
