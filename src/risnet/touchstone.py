@@ -326,7 +326,8 @@ def parse_touchstone(text: str) -> PortNetwork:
             int(line_nos[0]),
         )
 
-    f_hz = values[np.cumsum(counts) - counts] * _FREQ_SCALE[unit]
+    with np.errstate(over="ignore"):  # a frequency that overflows is rejected by line below
+        f_hz = values[np.cumsum(counts) - counts] * _FREQ_SCALE[unit]
     odd = np.flatnonzero(counts != n_values)
     n_points = int(odd[0]) if odd.size else counts.size
     freqs = _frequency_grid(f_hz[:n_points], TouchstoneParseError, line_nos)

@@ -83,6 +83,7 @@ def test_parse_comments_and_inline_comments():
         ("! c\n# Hz S RI R nan\n1 0 0\n", "reference impedance 'nan' is not finite", 2),
         ("# Hz S RI R inf\n1 0 0\n", "reference impedance 'inf' is not finite", 1),
         ("# Hz S RI R 1e400\n1 0 0\n", "reference impedance '1e400' is not finite", 1),
+        ("#\n1 0 0\n1.8e299 0 0\n", "frequencies must be finite", 3),  # 1.8e308 Hz in GHz
         # a noise-parameter record must hold 5 values, and S-data may not follow
         (NOISY_S2P.replace("3.5 1.6 0.31 46 0.21", "3.5 1.6 0.31 46"),
          "expected 5 values per noise-parameter record, got 4", 6),
