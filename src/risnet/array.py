@@ -8,6 +8,7 @@ profile onto the available discrete reflection states.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -29,6 +30,11 @@ _TILE_POWER_UW = {1: 200, 3: 2200}
 # (state i at i*45 degrees); the 1-bit pair reuses the 0/180 degree entries.
 _LED_COLORS_3BIT = ("black", "cyan", "red", "magenta", "green", "yellow", "blue", "white")
 _LED_COLORS_1BIT = ("black", "green")
+
+# array_factor keeps the steering matrices of this many (wall, wavenumber,
+# theta/phi grid) triples, and sums the pattern this many directions at a time.
+_STEERING_CACHE_SIZE = 4
+_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -144,7 +150,15 @@ def steering_codebook(layout: ArrayLayout, gamma_states, direction, f: float) ->
     np.subtract(v, 360.0, out=v, where=v >= 360.0)
     v -= 180.0
     dist = np.abs(v, out=v)
-    return np.argmin(dist, axis=0), np.min(dist, axis=0)
+    # argmin without its transposed copy: stamp each state where it attains the
+    # min, highest first, so ties go to the lowest index. The gamma and theta/phi
+    # checks keep NaN out of dist; a NaN psi (only from a non-finite pitch) NaNs
+    # every plane of a cell, which no state stamps, and argmin also gives 0.
+    best = np.min(dist, axis=0)
+    state_map = np.zeros(best.shape, dtype=np.intp)
+    for state in range(len(dist) - 1, -1, -1):
+        np.putmask(state_map, dist[state] == best, state)
+    return state_map, best
 
 
 def _steering_vectors(u, coords, k0: float) -> np.ndarray:
@@ -158,6 +172,24 @@ def _steering_vectors(u, coords, k0: float) -> np.ndarray:
     np.exp(right, out=right)
     np.conjugate(right[:, ::-1], out=out[:, :n])
     return out
+
+
+@functools.lru_cache(maxsize=_STEERING_CACHE_SIZE)
+def _steering_matrices(layout: ArrayLayout, k0: float, theta_shape: tuple, theta_bytes: bytes,
+                       phi_shape: tuple, phi_bytes: bytes) -> tuple:
+    """Read-only (A_x, A_y) over the theta x phi directions, given in radians as bytes.
+
+    The bytes key keeps -0.0 apart from 0.0, whose exponentials differ in the
+    sign of a zero imaginary part.
+    """
+    theta = np.frombuffer(theta_bytes).reshape(theta_shape)
+    phi = np.frombuffer(phi_bytes).reshape(phi_shape)
+    x, y = layout.cell_positions()
+    sin_t = np.sin(theta)[:, np.newaxis]
+    a_x = _steering_vectors((sin_t * np.cos(phi)).ravel(), x[0], k0)
+    a_y = _steering_vectors((sin_t * np.sin(phi)).ravel(), y[:, 0], k0)
+    a_x.flags.writeable = a_y.flags.writeable = False
+    return a_x, a_y
 
 
 def array_factor(
@@ -182,7 +214,10 @@ def array_factor(
     coordinates are centred and even in count, hence exactly antisymmetric,
     so a_x and a_y exponentiate only their right halves: the left half is
     conj(right[:, ::-1]), the bits of the full exponential except the sign
-    of a zero imaginary part where u or v is 0. ``gamma_states`` and ``f``
+    of a zero imaginary part where u or v is 0. a_x and a_y depend only on
+    the wall, f and the theta/phi grid: the last few such pairs are kept
+    read-only and reused, and the pattern is summed in blocks of directions,
+    so the temporaries stay one block in size. ``gamma_states`` and ``f``
     are checked as in :func:`steering_codebook`; a sum past the float range
     raises InputDataError naming its direction.
     """
@@ -202,15 +237,19 @@ def array_factor(
     theta, phi = np.deg2rad(theta_deg), np.deg2rad(phi_az_deg)
     if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(phi))):
         raise ValueError("theta_deg and phi_az_deg must be finite")
-    x, y = layout.cell_positions()
-
-    sin_t = np.sin(theta)[:, np.newaxis]
-    ux = (sin_t * np.cos(phi)).ravel()
-    uy = (sin_t * np.sin(phi)).ravel()
-    a_x = _steering_vectors(ux, x[0], k0)
-    a_y = _steering_vectors(uy, y[:, 0], k0)
+    a_x, a_y = _steering_matrices(layout, k0, theta.shape, theta.tobytes(),
+                                  phi.shape, phi.tobytes())
+    gamma = gamma_states[state_map]
+    af = np.empty(a_x.shape[0], dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        af = np.sum((a_y @ gamma_states[state_map]) * a_x, axis=1).reshape(theta.size, phi.size)
+        # Row blocks bound the (directions, cells_x) temporary; each row's
+        # product and sum are the same operations as on the whole matrix.
+        for r in range(0, af.size, _BLOCK_ROWS):
+            rows = slice(r, r + _BLOCK_ROWS)
+            p = a_y[rows] @ gamma
+            p *= a_x[rows]
+            np.sum(p, axis=1, out=af[rows])
+    af = af.reshape(theta.size, phi.size)
     bad = ~np.isfinite(af)
     if bad.any():
         i, j = np.argwhere(bad)[0]

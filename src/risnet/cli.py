@@ -26,9 +26,11 @@ N78_BAND = (3.3e9, 3.8e9)
 DEFAULT_F_CENTER = 3.6e9
 
 # Grid-size caps, checked before anything is allocated. At the caps a pattern
-# cut needs about 0.3 GB of temporaries (64x64 tiles, 20001 angles), and the
-# synthesis coarse scan works on (8, 64, n_band_points) complex arrays of 82 MB
-# each (about 0.28 GB peak RSS behind a measured switch).
+# cut (64x64 tiles, 20001 angles) keeps A_x and A_y, 2 x 20001 x 256 complex
+# values (164 MB), plus one row block of temporaries (about 0.2 GB peak RSS);
+# a process keeps the matrices of at most 4 grids. The synthesis coarse scan
+# works on (8, 64, n_band_points) complex arrays of 82 MB each (about 0.28 GB
+# peak RSS behind a measured switch).
 MAX_TILES = 64
 MAX_THETA_POINTS = 20_001
 MAX_BAND_POINTS = 10_001

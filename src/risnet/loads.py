@@ -229,14 +229,21 @@ def stub_reflection(length, termination: str, f, line: MicrostripLine):
         raise ValueError("stub length must be >= 0")
     f = np.asarray(f, dtype=float)
     sign = 1.0 if termination == "open" else -1.0
+    mag = ratio = 1.0  # a lossless line skips the loss term: 10**-0.0 is exactly 1
     with np.errstate(over="ignore", invalid="ignore"):
         beta = 2.0 * np.pi * f * math.sqrt(microstrip_eeff(line)) / C0
-        alpha_db = line.loss_db_per_m * np.sqrt(f / line.reference_frequency)
-        mag = 10.0 ** (-2.0 * alpha_db * length / 20.0)
+        if line.loss_db_per_m:
+            ratio = f / line.reference_frequency
+            alpha_db = line.loss_db_per_m * np.sqrt(ratio)
+            mag = 10.0 ** (-2.0 * alpha_db * length / 20.0)
         out = sign * mag * np.exp(-2j * beta * length)
     if not np.isfinite(out).all():  # the phase grows with f, so it overflows at the top
-        cause = (f"line loss of {line.loss_db_per_m:.12g} dB/m" if not np.isfinite(mag).all()
-                 else f"stub phase at {np.max(f):.12g} Hz")
+        if not np.isfinite(ratio).all():
+            cause = f"loss reference frequency of {line.reference_frequency:.12g} Hz"
+        elif not np.isfinite(mag).all():
+            cause = f"line loss of {line.loss_db_per_m:.12g} dB/m"
+        else:
+            cause = f"stub phase at {np.max(f):.12g} Hz"
         raise InputDataError(f"the {cause} overflows the stub model")
     return out if out.ndim else complex(out)
 

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from risnet.array import (
     C0,
     ArrayLayout,
+    _steering_matrices,
     _wrap180,
     array_factor,
     build_array,
@@ -314,6 +315,42 @@ def test_array_factor_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+def test_grid_over_several_row_blocks_matches_the_full_matrix_product():
+    # 181 x 91 = 16471 directions, summed in row blocks from memoized matrices.
+    layout = build_array(6, 6, 3)
+    state_map = np.random.default_rng(5).integers(0, 8, (layout.cells_y, layout.cells_x))
+    theta, phi = np.linspace(-90.0, 90.0, 181), np.linspace(0.0, 180.0, 91)
+    ref = full_exp_af(layout, state_map, IDEAL_3BIT, F, theta, phi, 1.0)
+    first = array_factor(layout, state_map, IDEAL_3BIT, F, theta, phi)
+    again = array_factor(layout, state_map, IDEAL_3BIT, F, theta, phi)
+    assert first.shape == (181, 91)
+    assert first.tobytes() == ref.tobytes() and again.tobytes() == ref.tobytes()
+
+
+def test_memoized_steering_matrices_are_read_only():
+    theta = np.deg2rad(np.array([0.0, 30.0]))
+    phi = np.deg2rad(np.array([0.0]))
+    k0 = 2.0 * np.pi * F / C0
+    for a in _steering_matrices(build_array(1, 1, 1), k0, theta.shape, theta.tobytes(),
+                                phi.shape, phi.tobytes()):
+        assert not a.flags.writeable
+
+
+def test_steering_matrices_are_kept_for_the_last_four_grids():
+    layout = build_array(1, 1, 1)
+    state_map = np.zeros((4, 4), int)
+
+    def misses(theta_deg):
+        before = _steering_matrices.cache_info().misses
+        array_factor(layout, state_map, IDEAL_1BIT, F, [theta_deg])
+        return _steering_matrices.cache_info().misses - before
+
+    _steering_matrices.cache_clear()
+    assert [misses(t) for t in (0.0, 1.0, 2.0, 3.0, 0.0)] == [1, 1, 1, 1, 0]
+    assert misses(-0.0) == 1  # keyed by bytes: -0.0 is another grid
+    assert [misses(t) for t in (4.0, 5.0, 6.0, 0.0)] == [1, 1, 1, 1]
 
 
 @pytest.mark.parametrize("kwargs, named", [

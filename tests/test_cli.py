@@ -939,6 +939,8 @@ GATE_FLAGS = ["--t-start-s", "0", "--t-stop-s", "6e-9"]
      "cascade result for state 0 at 3000000000.0 Hz is past the float range"),
     (["synth", "--line-width-m", "1.5e-3", "--loss-db-per-m", "1e308"], 3,
      "the line loss of 1e+308 dB/m overflows the stub model"),
+    (["synth", "--line-width-m", "1.5e-3", "--loss-db-per-m", "1", "--loss-ref-hz", "1e-300"], 3,
+     "the loss reference frequency of 1e-300 Hz overflows the stub model"),
     (["synth", "--line-width-m", "1.5e-3", "--band-high-hz", "inf"], 2,
      "band [3300000000.0, inf] Hz is too wide to weight"),
     (["profile", "thru.s2p", "--loads", "inf_stub.json"], 3,
@@ -960,7 +962,7 @@ GATE_FLAGS = ["--t-start-s", "0", "--t-stop-s", "6e-9"]
     (["parse", "z_1e400.s1p", "--format", "json"], 3,
      "line 1: reference impedance '1e400' is not finite"),
 ], ids=["synth-switch-overflow", "profile-unit-cell-overflow", "synth-loss-overflow",
-        "synth-infinite-band", "profile-infinite-stub", "pattern-sum-overflow",
+        "synth-loss-ref-overflow", "synth-infinite-band", "profile-infinite-stub", "pattern-sum-overflow",
         "pattern-zero-gammas", "pattern-zero-element-factor", "gate-overflow",
         "gate-normalize-overflow", "parse-z0-nan", "parse-z0-inf", "parse-z0-1e400"])
 def test_each_fault_exits_with_one_line(fault_files, monkeypatch, capsys, argv, code, message):
@@ -969,3 +971,15 @@ def test_each_fault_exits_with_one_line(fault_files, monkeypatch, capsys, argv, 
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert "nan" not in captured.out.lower()
+
+
+# A lossless line has no loss term, so no loss reference frequency can overflow it.
+@pytest.mark.filterwarnings("error")
+def test_lossless_synth_ignores_an_extreme_loss_reference(tmp_path, capsys):
+    designs = []
+    for extra in ([], ["--loss-ref-hz", "1e-300"]):
+        out = tmp_path / "design.json"
+        assert cli.main(["synth", "--line-width-m", "1.5e-3", "--out", str(out), *extra]) == 0
+        designs.append(json.loads(out.read_text())["states"])
+    assert capsys.readouterr().err == ""
+    assert designs[0] == designs[1]
