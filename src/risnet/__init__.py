@@ -35,7 +35,7 @@ from .metrics import (
     sigma_phase,
     sigma_threshold,
 )
-from .network import TwoPortPoint, cascade_reflection, interpolate_at, profile_from_network
+from .network import TwoPortPoint, cascade_reflection, profile_from_network
 from .touchstone import (
     PortNetwork,
     ReflectionProfile,
@@ -66,7 +66,6 @@ __all__ = [
     "dump_state_csv",
     "effective_bits",
     "ideal_sp8t_design",
-    "interpolate_at",
     "led_color",
     "load_state_csv",
     "microstrip_eeff",

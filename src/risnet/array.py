@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,8 @@ class ArrayLayout:
             raise ValueError("need at least one tile per axis")
         if self.resolution_bits not in (1, 3):
             raise ValueError("resolution_bits must be 1 or 3")
+        if not (math.isfinite(self.pitch_x) and math.isfinite(self.pitch_y)):
+            raise ValueError("pitch must be finite")
         if self.pitch_x <= 0 or self.pitch_y <= 0:
             raise ValueError("pitch must be > 0")
 

@@ -17,11 +17,11 @@ import numpy as np
 from .errors import GateSpanError, InputDataError, ReferenceLevelError, SweepGridError
 from .touchstone import (
     PortNetwork,
-    _csv_blocks,
+    _csv_rows,
+    _csv_table,
     _csv_text,
     _format_rows,
     _frequency_grid,
-    _read_numbers,
     _reject_rows,
 )
 
@@ -34,7 +34,9 @@ _WINDOW_FLOOR = 1e-3
 # np.kaiser divides by I0(beta), which overflows float64 above beta ~ 709.
 _MAX_KAISER_BETA = 700.0
 
-SWEEP_CSV_HEADER = "freq_hz,re,im"
+# One sweep CSV row; the header is its field names.
+_SWEEP_ROW = np.dtype([("freq_hz", float), ("re", float), ("im", float)])
+SWEEP_CSV_HEADER = ",".join(_SWEEP_ROW.names)
 
 
 @dataclass(frozen=True)
@@ -209,27 +211,26 @@ def sweep_to_network(sweep: Sweep, reference_impedance: float = 50.0) -> PortNet
     )
 
 
-def _sweep_row(line_no: int, fields: list) -> list:
-    fields = [f.strip() for f in fields]
-    try:
-        return [float(f) for f in fields]
-    except ValueError:
-        raise SweepGridError(f"non-numeric field in '{','.join(fields)}'", line_no) from None
-
-
 def load_sweep_csv(text: str) -> Sweep:
     """Read a sweep from CSV with header ``freq_hz,re,im`` (# comments ignored).
 
     Row faults name their line, and are looked for before those of the whole sweep.
     """
-    blocks = _csv_blocks(text, SWEEP_CSV_HEADER, SweepGridError)
-    values, _, line_nos = _read_numbers(blocks, _sweep_row)
-    table = values.reshape(-1, 3)
-    if line_nos.size:  # an empty sweep is Sweep's to report
-        _frequency_grid(table[:, 0], SweepGridError, line_nos)
-    re_im = table[:, 1:]
-    _reject_rows(~np.isfinite(re_im), SweepGridError, "sweep values must be finite", line_nos)
-    return Sweep(frequencies=table[:, 0], values=re_im[:, 0] + 1j * re_im[:, 1])
+    try:  # fast path; a file it refuses is read again below, to name the line at fault
+        return _sweep(_csv_table(text, _SWEEP_ROW), None)
+    except ValueError:
+        pass
+    return _sweep(*_csv_rows(text, _SWEEP_ROW, SweepGridError))
+
+
+def _sweep(rows: np.ndarray, line_nos) -> Sweep:
+    """The sweep that sweep CSV ``rows`` (of ``_SWEEP_ROW``) give."""
+    f_hz, re, im = rows["freq_hz"], rows["re"], rows["im"]
+    if f_hz.size:  # an empty sweep is Sweep's to report
+        _frequency_grid(f_hz, SweepGridError, line_nos)
+    finite = np.isfinite(re) & np.isfinite(im)
+    _reject_rows(~finite, SweepGridError, "sweep values must be finite", line_nos)
+    return Sweep(frequencies=f_hz, values=re + 1j * im)
 
 
 def dump_sweep_csv(sweep: Sweep, comments: tuple = ()) -> str:

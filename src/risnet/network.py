@@ -80,17 +80,6 @@ class TwoPortPoint:
                 raise ValueError(f"{name} must be finite")
 
 
-interpolate_at = interp_s  # its single-frequency name
-
-
-def two_port_at(net: PortNetwork, f: float) -> TwoPortPoint:
-    """Interpolated :class:`TwoPortPoint` of a 2-port network at ``f``."""
-    if net.n_ports != 2:
-        raise InputDataError(f"need a 2-port network, got {net.n_ports} ports")
-    m = interp_s(net, f)
-    return TwoPortPoint(frequency=f, s11=m[0, 0], s12=m[0, 1], s21=m[1, 0], s22=m[1, 1])
-
-
 def cascade_reflection(p: TwoPortPoint, gamma_load: complex) -> complex:
     """Surface reflection of a two-port terminated in ``gamma_load``."""
     s = np.array([[p.s11, p.s12], [p.s21, p.s22]], dtype=complex)

@@ -8,17 +8,18 @@ files are rejected. The state CSV format (header
 per-switching-state reflection coefficients on a complete state-by-frequency
 grid.
 
-Readers make a structural pass per line, then convert numeric tokens in
-blocks of ``_BLOCK_ROWS`` rows (:func:`_read_numbers`); only a block that
-fails is read again line by line, to name the line at fault. Writers format
-all rows of a table with one ``%`` operation (:func:`_format_rows`).
+Each reader passes over the lines once for structure (blank and comment
+lines, the header or option line, inline comments), parses the kept rows with
+one ``np.loadtxt`` call and checks the table. On any ``ValueError`` there, it
+reads the whole text again with a plain per-line loop, which accepts exactly
+what ``float()`` and ``int()`` accept and names the first faulty line. Writers
+format all rows of a table with one ``%`` operation (:func:`_format_rows`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -38,17 +39,16 @@ _OPTION_KINDS = (
 # indices into a 2x2 S-matrix; a 1-port uses the first entry only.
 _COLUMN_ORDER = [0, 2, 1, 3]
 
-STATE_CSV_HEADER = "freq_hz,state,mag_db,phase_deg"
+# One state CSV row; the header is its field names.
+_STATE_ROW = np.dtype(
+    [("freq_hz", float), ("state", np.int64), ("mag_db", float), ("phase_deg", float)]
+)
+STATE_CSV_HEADER = ",".join(_STATE_ROW.names)
 
 # Magnitude floor used when writing exact zeros in dB-based formats.
 _DB_FLOOR = -600.0
 
-# State labels are read through a float table; this bound keeps them exact.
 _MAX_STATE = 2**31
-
-# Rows per numeric block in the readers: one np.array call converts a block's
-# tokens, and a few thousand rows keep that token list small next to the text.
-_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -148,11 +148,16 @@ def _frequency_grid(freqs, error=InputDataError, line_nos=None) -> np.ndarray:
     return f
 
 
+def _line_at(line_nos, k):
+    """Line number of row ``k``; None on a reader's fast path, which keeps none."""
+    return None if line_nos is None else int(line_nos[k])
+
+
 def _reject_rows(bad, error, message: str, line_nos=None) -> None:
     """Raise ``error(message, line_nos[row])`` at the first row (axis 0) flagged in ``bad``."""
     rows = np.any(bad, axis=tuple(range(1, np.ndim(bad))))
     if np.any(rows):
-        raise error(message, None if line_nos is None else int(line_nos[np.argmax(rows)]))
+        raise error(message, _line_at(line_nos, np.argmax(rows)))
 
 
 def _require_in_sweep(sweep_f: np.ndarray, f) -> None:
@@ -221,36 +226,6 @@ def _pairs_to_complex(a: np.ndarray, b: np.ndarray, fmt: str) -> np.ndarray:
     return 10.0 ** (a / 20.0) * np.exp(1j * np.deg2rad(b))
 
 
-def _read_numbers(blocks, per_line, refine=None):
-    """Float values of the numeric rows in ``blocks``.
-
-    Each block is ``(line_nos, counts, tokens)``: a few rows' line numbers,
-    token counts and concatenated tokens. Returns ``(values, counts,
-    line_nos)`` over all rows. A block's tokens are converted with one
-    ``np.array(tokens, dtype=float)``; ``refine(tokens, values)`` may then
-    adjust the values in place and raises ``ValueError`` on a row the format
-    forbids. A block that fails either step goes through
-    ``per_line(line_no, row_tokens)`` row by row, which returns the row's
-    values or raises the error naming its line.
-    """
-    chunks, all_counts, all_line_nos = [], [], []
-    for line_nos, counts, tokens in blocks:
-        try:
-            values = np.array(tokens, dtype=float)
-            if refine is not None:
-                refine(tokens, values)
-        except (ValueError, OverflowError):
-            ends = list(accumulate(counts))
-            values = np.array([
-                v for n, end, c in zip(line_nos, ends, counts)
-                for v in per_line(n, tokens[end - c:end])
-            ], dtype=float)
-        chunks.append(values)
-        all_counts.append(np.array(counts, dtype=np.int64))
-        all_line_nos.append(np.array(line_nos, dtype=np.int64))
-    return np.concatenate(chunks), np.concatenate(all_counts), np.concatenate(all_line_nos)
-
-
 def _touchstone_row(line_no: int, tokens: list) -> list:
     values = []
     for tok in tokens:
@@ -259,6 +234,38 @@ def _touchstone_row(line_no: int, tokens: list) -> list:
         except ValueError:
             raise TouchstoneParseError(f"non-numeric token '{tok}'", line_no) from None
     return values
+
+
+def _touchstone_records(text: str, option: list):
+    """Yield ``(line_no, data)`` for each record line of Touchstone text.
+
+    Blank and ``!`` comment lines are skipped and inline ``!`` comments cut;
+    the parsed option line is appended to ``option``. A v2 keyword, a second
+    option line or data before the option line raises at its line, after the
+    records before it have been yielded.
+    """
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("!"):
+            continue
+        if line.startswith("["):
+            raise TouchstoneParseError(
+                f"Touchstone v2 keyword '{line.split()[0]}' not supported "
+                "(this reader accepts v1 only)",
+                line_no,
+            )
+        if line.startswith("#"):
+            if option:
+                raise TouchstoneParseError("duplicate option line", line_no)
+            option.append(_parse_option_line(line, line_no))
+            continue
+        if "!" in line:
+            line = line.split("!", 1)[0].strip()
+            if not line:
+                continue
+        if not option:
+            raise TouchstoneParseError("data before option line", line_no)
+        yield line_no, line
 
 
 def parse_touchstone(text: str) -> PortNetwork:
@@ -273,45 +280,24 @@ def parse_touchstone(text: str) -> PortNetwork:
     skipped. All errors carry the offending line number.
     """
     option = []
+    try:  # fast path; a file it refuses, noise block included, is read again below
+        rows = [line for _, line in _touchstone_records(text, option)]
+        if rows:
+            table = np.loadtxt(rows, comments=None, ndmin=2)
+            return _network(option, table.ravel(), np.full(len(table), table.shape[1]), None)
+    except ValueError:
+        pass
+    option, values, counts, line_nos = [], [], [], []
+    for line_no, line in _touchstone_records(text, option):
+        row = _touchstone_row(line_no, line.split())
+        values += row
+        counts.append(len(row))
+        line_nos.append(line_no)
+    return _network(option, np.array(values), np.array(counts, dtype=np.int64), line_nos)
 
-    def blocks():
-        """Data rows in blocks; on a fault, the rows before it come first."""
-        line_nos, counts, tokens = [], [], []
-        try:
-            for line_no, raw in enumerate(text.splitlines(), start=1):
-                line = raw.strip()
-                if not line or line.startswith("!"):
-                    continue
-                if line.startswith("["):
-                    raise TouchstoneParseError(
-                        f"Touchstone v2 keyword '{line.split()[0]}' not supported "
-                        "(this reader accepts v1 only)",
-                        line_no,
-                    )
-                if line.startswith("#"):
-                    if option:
-                        raise TouchstoneParseError("duplicate option line", line_no)
-                    option.append(_parse_option_line(line, line_no))
-                    continue
-                if "!" in line:
-                    line = line.split("!", 1)[0].strip()
-                    if not line:
-                        continue
-                if not option:
-                    raise TouchstoneParseError("data before option line", line_no)
-                fields = line.split()
-                line_nos.append(line_no)
-                counts.append(len(fields))
-                tokens += fields
-                if len(line_nos) == _BLOCK_ROWS:
-                    yield line_nos, counts, tokens
-                    line_nos, counts, tokens = [], [], []
-        except TouchstoneParseError:
-            yield line_nos, counts, tokens
-            raise
-        yield line_nos, counts, tokens
 
-    values, counts, line_nos = _read_numbers(blocks(), _touchstone_row)
+def _network(option: list, values: np.ndarray, counts: np.ndarray, line_nos) -> PortNetwork:
+    """The network of a Touchstone text whose records hold ``counts`` of ``values`` in turn."""
     if not option:
         raise TouchstoneParseError("missing option line", 1)
     if not counts.size:
@@ -323,7 +309,7 @@ def parse_touchstone(text: str) -> PortNetwork:
     if n_ports is None:
         raise TouchstoneParseError(
             f"expected 3 (1-port) or 9 (2-port) values per record, got {n_values}",
-            int(line_nos[0]),
+            _line_at(line_nos, 0),
         )
 
     with np.errstate(over="ignore"):  # a frequency that overflows is rejected by line below
@@ -335,13 +321,13 @@ def parse_touchstone(text: str) -> PortNetwork:
         k = n_points
         if not (n_ports == 2 and counts[k] == 5 and f_hz[k] <= f_hz[k - 1]):
             raise TouchstoneParseError(
-                f"expected {n_values} values per record, got {counts[k]}", int(line_nos[k])
+                f"expected {n_values} values per record, got {counts[k]}", _line_at(line_nos, k)
             )
         bad = np.flatnonzero(counts[k:] != 5)
         if bad.size:
             raise TouchstoneParseError(
                 f"expected 5 values per noise-parameter record, got {counts[k + bad[0]]}",
-                int(line_nos[k + bad[0]]),
+                _line_at(line_nos, k + bad[0]),
             )
 
     raw = values[:n_points * n_values].reshape(n_points, n_values)[:, 1:]
@@ -418,41 +404,56 @@ def serialize_touchstone(net: PortNetwork, format: str = "RI", freq_unit: str = 
     return head + _format_rows("%.12g" + " %.12g %.12g" * len(entries.T) + "\n", *columns)
 
 
-def _csv_blocks(text: str, header: str, error):
-    """Yield the data rows of a headed CSV text as ``_read_numbers`` blocks.
+def _csv_table(text: str, dtype: np.dtype) -> np.ndarray:
+    """The data rows of a headed CSV text, parsed by one ``np.loadtxt`` call.
 
-    Blank lines and ``#`` comment lines are skipped. The first other line
-    must equal ``header`` (fields compared after stripping); every later
-    line is split on commas into fields, left unstripped, and must have as
-    many fields as the header. Violations raise ``error(message, line_no)``
-    after the rows before them have been yielded.
+    Raises ValueError on every text that :func:`_csv_rows` refuses before its
+    ``check``, and on some that it accepts (``1_000``, non-ASCII digits).
     """
-    names = header.split(",")
-    width = len(names)
-    lines = text.splitlines()
-    header_seen = False
-    for start in range(0, len(lines), _BLOCK_ROWS):
-        chunk = list(map(str.strip, lines[start:start + _BLOCK_ROWS]))
-        rows = [s for s in chunk if s and s[0] != "#"]
-        if len(rows) == len(chunk):
-            line_nos = range(start + 1, start + 1 + len(chunk))
-        else:
-            line_nos = [start + 1 + k for k, s in enumerate(chunk) if s and s[0] != "#"]
-        if rows and not header_seen:
-            if [f.strip() for f in rows[0].split(",")] != names:
-                raise error(f"expected header '{header}', got '{rows[0]}'", line_nos[0])
+    lines = [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
+    if len(lines) < 2 or [f.strip() for f in lines[0].split(",")] != list(dtype.names):
+        raise ValueError("header or data rows missing")
+    return np.loadtxt(lines[1:], dtype=dtype, delimiter=",", comments=None, ndmin=1)
+
+
+def _csv_rows(text: str, dtype: np.dtype, error, check=None) -> tuple:
+    """The data rows of a headed CSV text, read line by line, and their line numbers.
+
+    Blank and ``#`` comment lines are skipped. The first other line must be
+    the header, the field names of ``dtype`` (compared after stripping). Each
+    later line must hold one comma-separated field per name, which ``int()``
+    or ``float()`` accepts as that ``dtype`` field is an integer or not;
+    ``check(line_no, fields, values)`` may refuse a row further. The first
+    faulty line raises ``error(message, line_no)``.
+    """
+    names = list(dtype.names)
+    casts = [int if dtype[name].kind == "i" else float for name in names]
+    rows, line_nos, header_seen = [], [], False
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line[0] == "#":
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        if not header_seen:
+            if fields != names:
+                raise error(f"expected header '{','.join(names)}', got '{line}'", line_no)
             header_seen = True
-            rows, line_nos = rows[1:], line_nos[1:]
-        commas = list(map(str.count, rows, repeat(",")))
-        if commas.count(width - 1) != len(rows):
-            bad = next(k for k, c in enumerate(commas) if c != width - 1)
-            yield line_nos[:bad], [width] * bad, ",".join(rows[:bad]).split(",") if bad else []
+            continue
+        if len(fields) != len(names):
             raise error(
-                f"expected {width} comma-separated fields, got {commas[bad] + 1}", line_nos[bad]
+                f"expected {len(names)} comma-separated fields, got {len(fields)}", line_no
             )
-        yield line_nos, [width] * len(rows), ",".join(rows).split(",") if rows else []
+        try:
+            values = tuple(cast(f) for cast, f in zip(casts, fields))
+        except ValueError:
+            raise error(f"non-numeric field in '{','.join(fields)}'", line_no) from None
+        if check is not None:
+            check(line_no, fields, values)
+        rows.append(values)
+        line_nos.append(line_no)
     if not header_seen:
         raise error("missing header line", 1)
+    return np.array(rows, dtype=dtype), line_nos
 
 
 def _csv_text(header: str, comments: tuple, body: str) -> str:
@@ -466,29 +467,14 @@ def _sorted_unique(x: np.ndarray) -> np.ndarray:
     return s[np.concatenate(([True], s[1:] != s[:-1]))]
 
 
-def _state_row(line_no: int, fields: list) -> tuple:
-    fields = [f.strip() for f in fields]
-    try:
-        f_hz, mag_db, phase_deg = float(fields[0]), float(fields[2]), float(fields[3])
-        state = int(fields[1])
-    except ValueError:
-        raise StateCsvError(f"non-numeric field in '{','.join(fields)}'", line_no) from None
+def _check_state_row(line_no: int, fields: list, values: tuple) -> None:
+    f_hz, state = values[:2]
     if state < 0:
         raise StateCsvError(f"negative state index {state}", line_no)
     if state >= _MAX_STATE:
         raise StateCsvError(f"state index {state} out of range", line_no)
     if not math.isfinite(f_hz):
         raise StateCsvError(f"non-finite frequency {fields[0]}", line_no)
-    return f_hz, state, mag_db, phase_deg
-
-
-def _state_labels(tokens: list, values: np.ndarray):
-    """Cast a block's state column to integers and check it as :func:`_state_row` does."""
-    states = np.array(tokens[1::4], dtype=np.int64)
-    table = values.reshape(-1, 4)
-    if not (np.all((states >= 0) & (states < _MAX_STATE)) and np.all(np.isfinite(table[:, 0]))):
-        raise ValueError("state row out of range")
-    table[:, 1] = states
 
 
 def load_state_csv(text: str) -> ReflectionProfile:
@@ -498,25 +484,34 @@ def load_state_csv(text: str) -> ReflectionProfile:
     are ignored. Rows must cover the complete state-by-frequency grid with
     no duplicates. Gamma is reconstructed as 10^(mag_db/20) * exp(j*phase).
     """
-    values, _, line_nos = _read_numbers(
-        _csv_blocks(text, STATE_CSV_HEADER, StateCsvError), _state_row, _state_labels
-    )
-    if not line_nos.size:
+    try:  # fast path; a file it refuses is read again below, to name the line at fault
+        rows = _csv_table(text, _STATE_ROW)
+        state = rows["state"]
+        if np.isfinite(rows["freq_hz"]).all() and ((state >= 0) & (state < _MAX_STATE)).all():
+            return _state_profile(rows, None)
+    except ValueError:
+        pass
+    rows, line_nos = _csv_rows(text, _STATE_ROW, StateCsvError, _check_state_row)
+    if not line_nos:
         raise StateCsvError("no data rows", 1)
+    return _state_profile(rows, line_nos)
 
-    table = values.reshape(-1, 4)
-    _reject_rows(table[:, 0] < 0, StateCsvError, "frequencies must be non-negative", line_nos)
-    freqs = _sorted_unique(table[:, 0])
-    states = _sorted_unique(table[:, 1])
-    k = np.searchsorted(freqs, table[:, 0])
-    i = np.searchsorted(states, table[:, 1])
+
+def _state_profile(rows: np.ndarray, line_nos) -> ReflectionProfile:
+    """The profile that state CSV ``rows`` (of ``_STATE_ROW``) give, checked as a grid."""
+    f_hz, state = rows["freq_hz"], rows["state"]
+    _reject_rows(f_hz < 0, StateCsvError, "frequencies must be non-negative", line_nos)
+    freqs = _sorted_unique(f_hz)
+    states = _sorted_unique(state)
+    k = np.searchsorted(freqs, f_hz)
+    i = np.searchsorted(states, state)
     cell = i * freqs.size + k
     order = np.argsort(cell, kind="stable")
     repeats = order[1:][cell[order[1:]] == cell[order[:-1]]]
     if repeats.size:
         r = int(repeats.min())
         raise StateCsvError(
-            f"duplicate row for state {int(table[r, 1])} at {table[r, 0]} Hz", int(line_nos[r])
+            f"duplicate row for state {int(state[r])} at {f_hz[r]} Hz", _line_at(line_nos, r)
         )
     if cell.size != states.size * freqs.size:
         filled = np.zeros(states.size * freqs.size, dtype=bool)
@@ -532,10 +527,12 @@ def load_state_csv(text: str) -> ReflectionProfile:
         raise StateCsvError(f"state count {n} is not a power of two")
     # float_power rounds exactly like the scalar **; np.power can differ in the last bit.
     with np.errstate(all="ignore"):  # inf or overflowing values; rejected by line below
-        rows = np.float_power(10.0, table[:, 2] / 20.0) * np.exp(1j * np.deg2rad(table[:, 3]))
-    _reject_rows(~np.isfinite(rows), StateCsvError, "gamma entries must be finite", line_nos)
+        gamma_rows = np.float_power(10.0, rows["mag_db"] / 20.0) * np.exp(
+            1j * np.deg2rad(rows["phase_deg"])
+        )
+    _reject_rows(~np.isfinite(gamma_rows), StateCsvError, "gamma entries must be finite", line_nos)
     gamma = np.empty((n, freqs.size), dtype=complex)
-    gamma[i, k] = rows
+    gamma[i, k] = gamma_rows
     return ReflectionProfile(states=tuple(int(s) for s in states), frequencies=freqs, gamma=gamma)
 
 

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -428,3 +429,10 @@ def test_state_map_serialization():
 def test_layout_pitch_override():
     layout = ArrayLayout(tiles_x=1, tiles_y=1, resolution_bits=1, pitch_x=0.05, pitch_y=0.05)
     np.testing.assert_allclose(layout.area_m2, (4 * 0.05) ** 2)
+
+
+@pytest.mark.parametrize("pitch", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("axis", ["pitch_x", "pitch_y"])
+def test_layout_rejects_a_non_finite_pitch(axis, pitch):
+    with pytest.raises(ValueError, match="pitch must be finite"):
+        ArrayLayout(tiles_x=1, tiles_y=1, resolution_bits=1, **{axis: pitch})

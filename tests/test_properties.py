@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from risnet import cli, touchstone
+from risnet import cli
 from risnet.errors import (
     FrequencyRangeError,
     InputDataError,
@@ -275,10 +275,57 @@ def test_passing_band_equals_grid_walk(curve):
     assert _passing_band(*curve) == band_by_walk(*curve)
 
 
+@st.composite
+def piecewise_linear_sigma(draw):
+    """sigma linear between grid points, with the band edges where it crosses the threshold.
+
+    Grid points lo+1..hi pass. The failing points lo and hi+1 are set so that
+    sigma crosses the threshold at a drawn place inside the interval to each,
+    if there is one (lo = -1 or hi = n-1 runs the band to the grid's end).
+    Points further out take any value, so sigma may pass again there. The
+    center lies inside the band, on or off the grid, or on a failing slope
+    next to it.
+    """
+    n = draw(st.integers(2, 30))
+    threshold = draw(st.sampled_from((65.0, 32.5, 16.25)))
+    f = 3e9 + np.cumsum(draw(arrays(float, n, elements=st.floats(1e5, 1e8))))
+    lo = draw(st.integers(-1, n - 2))
+    hi = draw(st.integers(lo + 1, n - 1))
+    sigma = threshold * draw(arrays(float, n, elements=st.floats(0.0, 2.0)))
+    sigma[lo + 1:hi + 1] = threshold * draw(arrays(float, hi - lo, elements=st.floats(0.0, 0.99)))
+    band, slopes = [float(f[0]), float(f[-1])], []
+    for side, out, inner in ((0, lo, lo + 1), (1, hi + 1, hi)):
+        if 0 <= out < n:
+            t = draw(st.floats(0.01, 0.99))  # from the passing point to the failing one
+            sigma[out] = sigma[inner] + (threshold - sigma[inner]) / t
+            band[side] = float(f[inner] + t * (f[out] - f[inner]))
+            slopes.append((float(f[out]), band[side]))
+    if slopes and draw(st.booleans()):
+        f_out, f_edge = draw(st.sampled_from(slopes))
+        return f, sigma, threshold, f_out + draw(st.floats(0.0, 0.99)) * (f_edge - f_out), None
+    if draw(st.booleans()):
+        f_center = float(f[draw(st.integers(lo + 1, hi))])
+    else:
+        f_center = band[0] + draw(st.floats(0.01, 0.99)) * (band[1] - band[0])
+    return f, sigma, threshold, f_center, tuple(band)
+
+
+@property_settings
+@given(piecewise_linear_sigma())
+def test_passing_band_finds_the_analytic_crossings(case):
+    f, sigma, threshold, f_center, expected = case
+    got = _passing_band(f, sigma, threshold, f_center)
+    if expected is None:
+        assert got is None
+    else:
+        assert got == pytest.approx(expected, rel=1e-9)
+
+
 # --- Numeric-text layer --------------------------------------------------------
 #
-# The per-row readers and writers that the block layer replaced, kept as its
-# oracles: every output and every error (message and line) must match them.
+# Per-row readers and writers, kept as the oracles of the readers' loadtxt
+# fast path and of the one-step writers: every output and every error
+# (message and line) must match them.
 
 
 def oracle_csv_rows(text, header, error):
@@ -573,28 +620,29 @@ def scalar_cast(cast, toks):
         return None
 
 
-def block_cast(dtype, toks):
+def loadtxt_cast(dtype, toks):
+    """The tokens as the last field of CSV rows, parsed as the readers' fast path does."""
+    rows = [f"0,{t}" for t in toks]
     try:
-        return np.array(toks, dtype=dtype)
-    except (ValueError, OverflowError):
+        table = np.loadtxt(rows, dtype=[("a", float), ("v", dtype)], delimiter=",",
+                           comments=None, ndmin=1)
+    except ValueError:
         return None
+    return table["v"]
 
 
 @settings(deadline=None, max_examples=400)
 @given(st.lists(tokens, min_size=1, max_size=12))
-def test_block_cast_equals_scalar_float_and_int(toks):
-    expected = scalar_cast(float, toks)
-    got = block_cast(float, toks)
-    assert (got is None) == (expected is None)
-    if expected is not None:
-        assert got.tobytes() == np.array(expected, dtype=float).tobytes()
-    expected = scalar_cast(int, toks)
-    got = block_cast(np.int64, toks)
-    if expected is None or not all(-(2**63) <= v < 2**63 for v in expected):
-        # int() rejects it, or int64 cannot hold it: both go to the per-line path
-        assert got is None
-    else:
-        assert got.tolist() == expected
+def test_loadtxt_fields_equal_scalar_float_and_int(toks):
+    # loadtxt may refuse what float() or int() accepts (1_000, non-ASCII digits,
+    # ints past int64): those files take the per-line path. It never accepts
+    # what they refuse, and what it accepts has their bits.
+    for cast, dtype in ((float, np.float64), (int, np.int64)):
+        got = loadtxt_cast(dtype, toks)
+        if got is not None:
+            expected = scalar_cast(cast, toks)
+            assert expected is not None
+            assert got.tobytes() == np.array(expected, dtype=dtype).tobytes()
 
 
 @st.composite
@@ -631,17 +679,10 @@ def state_csv_texts(draw):
     return "\n".join([STATE_CSV_HEADER] + rows) + "\n"
 
 
-def small_blocks():
-    """Blocks of 1-3 rows and the default: faults land in every position of a block."""
-    return st.sampled_from((1, 2, 3, touchstone._BLOCK_ROWS))
-
-
 @property_settings
-@given(state_csv_texts(), small_blocks())
-def test_state_csv_reader_matches_per_line_path(text, block_rows):
-    with mock.patch.object(touchstone, "_BLOCK_ROWS", block_rows):
-        got = outcome(load_state_csv, text)
-    assert_same_outcome(got, outcome(oracle_load_state_csv, text))
+@given(state_csv_texts())
+def test_state_csv_reader_matches_per_line_path(text):
+    assert_same_outcome(outcome(load_state_csv, text), outcome(oracle_load_state_csv, text))
 
 
 @st.composite
@@ -660,22 +701,25 @@ def sweep_csv_texts(draw):
 
 
 @property_settings
-@given(sweep_csv_texts(), small_blocks())
-def test_sweep_csv_reader_matches_per_line_path(text, block_rows):
-    with mock.patch.object(touchstone, "_BLOCK_ROWS", block_rows):
-        got = outcome(load_sweep_csv, text)
-    assert_same_outcome(got, outcome(oracle_load_sweep_csv, text))
+@given(sweep_csv_texts())
+def test_sweep_csv_reader_matches_per_line_path(text):
+    assert_same_outcome(outcome(load_sweep_csv, text), outcome(oracle_load_sweep_csv, text))
 
 
 @st.composite
 def touchstone_texts(draw):
-    """Touchstone text with up to two lines replaced by a fault (no noise block)."""
+    """Touchstone text with up to two lines replaced by a fault (no noise block).
+
+    Tokens are separated by spaces or by no-break spaces, which str.split()
+    also splits on.
+    """
     n_values = draw(st.sampled_from((3, 9)))
     n = draw(st.integers(1, 8))
+    sep = draw(st.sampled_from((" ", "\xa0")))
     lines = ["! measured", draw(st.sampled_from(("# MHz S RI R 50", "# Hz S DB", "#")))]
     for k in range(n):
         values = [f"{100 + 10 * k}"] + [f"{draw(unit):.12g}" for _ in range(n_values - 1)]
-        lines.append(" ".join(values) + draw(st.sampled_from(("", " ! inline"))))
+        lines.append(sep.join(values) + draw(st.sampled_from(("", " ! inline"))))
     for _ in range(draw(st.integers(0, 2))):
         r = draw(st.integers(1, len(lines) - 1))
         kind = draw(st.sampled_from(("token", "count", "order", "option", "keyword", "comment")))
@@ -697,10 +741,9 @@ def touchstone_texts(draw):
 
 
 @property_settings
-@given(touchstone_texts(), small_blocks())
-def test_touchstone_reader_matches_per_line_path(text, block_rows):
-    with mock.patch.object(touchstone, "_BLOCK_ROWS", block_rows):
-        got = outcome(parse_touchstone, text)
+@given(touchstone_texts())
+def test_touchstone_reader_matches_per_line_path(text):
+    got = outcome(parse_touchstone, text)
     expected = outcome(oracle_parse_touchstone, text)
     if not isinstance(got, tuple) and "expected 9 values per record, got 5" in str(expected):
         # a non-increasing 5-value record after 2-port data now starts a noise block

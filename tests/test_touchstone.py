@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from risnet import gating, touchstone
 from risnet.errors import InputDataError, StateCsvError, TouchstoneParseError
 from risnet.touchstone import (
     PortNetwork,
@@ -278,8 +279,8 @@ def test_two_port_noise_block_is_skipped(text):
 
 @pytest.mark.parametrize("numeric_row", [1500, 1000])
 def test_state_csv_reports_the_first_faulty_line(numeric_row):
-    # A non-numeric field before a field-count fault, in the same numeric
-    # block (rows 1024-2047) or in an earlier one: the earlier line is reported.
+    # A non-numeric field 100 or 600 lines before a field-count fault: the
+    # earlier line is reported.
     rows = [f"{3e9 + k:.12g},0,0,0" for k in range(3000)]
     rows[1600] = "1,2,3"
     rows[numeric_row] = "x,0,0,0"
@@ -302,3 +303,25 @@ def test_touchstone_reports_the_first_faulty_line(fault):
 def test_state_labels_accept_what_int_accepts():
     text = "freq_hz,state,mag_db,phase_deg\n3e9, +0 ,0,0\n3e9,0_1,0,0\n"
     assert load_state_csv(text).states == (0, 1)
+
+
+
+def test_valid_files_take_the_fast_path(monkeypatch):
+    # Any fault on the fast path reruns the per-line loop, so a fast path that
+    # always failed would pass every other test and only cost time.
+    def per_line(*args):
+        raise AssertionError("per-line loop reached")
+
+    for module, name in ((touchstone, "_csv_rows"), (gating, "_csv_rows"),
+                         (touchstone, "_touchstone_row")):
+        monkeypatch.setattr(module, name, per_line)
+    freqs = np.linspace(3e9, 4e9, 9)
+    net = make_two_port(freqs, np.exp(1j * np.arange(36)) * 0.5)
+    for fmt in ("RI", "MA", "DB"):
+        parse_touchstone(serialize_touchstone(net, fmt, "MHz", comments=("a",)))
+    parse_touchstone("! c\n# Hz S RI\n1e9\xa00.5 0 ! inline\n\n2e9 0.5\t0\n")
+    gamma = np.exp(1j * np.outer([0.0, np.pi], freqs / 1e9))
+    load_state_csv(dump_state_csv(ReflectionProfile((0, 1), freqs, gamma), comments=("b",)))
+    load_state_csv("freq_hz , state,mag_db,phase_deg\n\n# c\n3e9, +1 ,0,0\n3e9,0,-1,1\n")
+    sweep = gating.synth_multipath([(1e-9, 1.0)], freqs)
+    gating.load_sweep_csv(gating.dump_sweep_csv(sweep, comments=("c",)))

@@ -15,7 +15,10 @@ directory ``OUT_DIR/<case>``, on inputs under the relative path ``in/``.
 That directory then holds the invocation's ``argv``, ``stdout``, ``stderr``,
 ``exit`` code and any file it wrote. ``--stamp`` timestamps are replaced by
 ``<timestamp>``, so a rerun gives the same bytes. Compare two checkouts with
-``diff -r OUT_A OUT_B``.
+``diff -r OUT_A OUT_B``. PYTHONPATH entries are resolved against the
+directory the tool is started from. The tool exits 1 when any invocation
+exits with a code outside the CLI's 0/2/3/4 contract (a traceback, or a
+``risnet`` that could not be imported).
 """
 
 from __future__ import annotations
@@ -186,7 +189,12 @@ def main() -> int:
         return 2
     in_dir, out_dir = (Path(a).resolve() for a in args)
     env = dict(os.environ)
-    if not env.get("PYTHONPATH"):
+    if env.get("PYTHONPATH"):
+        # Each case runs in its own directory, where a relative entry finds nothing.
+        env["PYTHONPATH"] = os.pathsep.join(
+            str(Path(p).resolve()) for p in env["PYTHONPATH"].split(os.pathsep)
+        )
+    else:
         env["PYTHONPATH"] = str(ROOT / "src")
         sys.path.insert(0, env["PYTHONPATH"])
     in_dir.mkdir(parents=True, exist_ok=True)
@@ -197,6 +205,10 @@ def main() -> int:
         return 2
     codes = [run_case(name, case, in_dir, out_dir, env) for name, case in CASES.items()]
     print(f"{len(codes)} invocations ({sum(c != 0 for c in codes)} nonzero exits) in {out_dir}")
+    stray = [f"{name} ({c})" for name, c in zip(CASES, codes) if c not in (0, 2, 3, 4)]
+    if stray:
+        print(f"error: exit code outside 0/2/3/4: {', '.join(stray)}", file=sys.stderr)
+        return 1
     return 0
 
 
