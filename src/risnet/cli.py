@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import stat
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -40,11 +42,35 @@ def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
+def _write_file(path: str, text: str) -> None:
+    """Write ``text`` as UTF-8 over ``path`` in place, creating it if missing.
+
+    An existing file keeps its inode, mode, owner and hard links, and a
+    symlink writes its target. The file is cut to the new length only after
+    the bytes are written, and only if it is a regular file (a FIFO or
+    /dev/null cannot be truncated). On ext4, truncating first or renaming a
+    new file over the old stalls for tens of milliseconds when the old file
+    had data; the final cut stalls only when it frees blocks already on disk
+    (a shorter output over an old file). Like a truncating write, this is
+    not atomic: a crash part way can leave old bytes after the new ones.
+    """
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        written = 0
+        while written < len(data):  # a pipe may take part of the bytes per call
+            written += os.write(fd, data[written:])
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, written)
+    finally:
+        os.close(fd)
+
+
 def _write_output(text: str, out: str | None):
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        _write_file(out, text)
 
 
 def _stamp_pairs(args) -> list:
@@ -259,9 +285,9 @@ def cmd_pattern(args) -> int:
 
     if args.state_map_out is not None:
         if args.state_map_out.endswith(".json"):
-            Path(args.state_map_out).write_text(arr.state_map_to_json(state_map), encoding="utf-8")
+            _write_file(args.state_map_out, arr.state_map_to_json(state_map))
         else:
-            Path(args.state_map_out).write_text(arr.state_map_to_text(state_map), encoding="utf-8")
+            _write_file(args.state_map_out, arr.state_map_to_text(state_map))
 
     summary = [
         ("tiles", f"{layout.tiles_x}x{layout.tiles_y}"),

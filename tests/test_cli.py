@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import stat
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import datetime
 
@@ -983,3 +985,113 @@ def test_lossless_synth_ignores_an_extreme_loss_reference(tmp_path, capsys):
         designs.append(json.loads(out.read_text())["states"])
     assert capsys.readouterr().err == ""
     assert designs[0] == designs[1]
+
+
+# Output files are rewritten in place: opened without O_TRUNC, written, then cut to length.
+def rewrite_outputs(d):
+    """argv of every subcommand with its output flags, over inputs written into ``d``."""
+    sweep = d / "sweep.csv"
+    sweep.write_text(dump_sweep_csv(synth_multipath([(2e-9, 1.0)], np.linspace(3e9, 4.2e9, 64))),
+                     encoding="utf-8")
+    s2p, profile = write_thru_s2p(d / "thru.s2p"), ladder(d)
+    return [
+        ["parse", s2p, "--out", str(d / "parse.txt")],
+        ["profile", s2p, "--loads", "ideal-1bit", "--out", str(d / "profile.csv")],
+        ["synth", "--line-width-m", "1.5e-3", "--n-band-points", "3", "--out", str(d / "d.json")],
+        ["bandwidth", profile, "--out", str(d / "bw.json")],
+        ["pattern", profile, "--out", str(d / "af.csv"), "--state-map-out", str(d / "map.txt")],
+        ["pattern", profile, "--out", str(d / "af.csv"), "--state-map-out", str(d / "map.json")],
+        ["gate", str(sweep), *GATE_FLAGS, "--out", str(d / "gated.csv")],
+        ["gate", str(sweep), *GATE_FLAGS, "--out", str(d / "gated.s1p")],
+    ]
+
+
+def test_a_rewrite_holds_exactly_the_new_bytes(tmp_path, capsys):
+    profile = ladder(tmp_path)
+    runs = {"short": ["parse", profile], "long": ["pattern", profile, "--theta-deg", "20"]}
+    fresh = {}
+    for name, argv in runs.items():
+        assert cli.main([*argv, "--out", str(tmp_path / name)]) == 0
+        fresh[name] = (tmp_path / name).read_bytes()
+    assert len(fresh["short"]) < len(fresh["long"])
+    out = tmp_path / "out.csv"
+    for name in ("short", "long", "short"):
+        assert cli.main([*runs[name], "--out", str(out)]) == 0
+        assert out.read_bytes() == fresh[name]
+
+
+def test_out_through_a_symlink_writes_its_target(tmp_path, capsys):
+    profile = ladder(tmp_path)
+    assert cli.main(["parse", profile]) == 0
+    expected = capsys.readouterr().out
+    target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+    target.write_text("old\n" * 1000, encoding="utf-8")
+    link.symlink_to(target)
+    assert cli.main(["parse", profile, "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text(encoding="utf-8") == expected
+
+
+def test_a_rewrite_keeps_the_inode_mode_and_hard_links(tmp_path, capsys):
+    profile = ladder(tmp_path)
+    out, twin = tmp_path / "out.txt", tmp_path / "twin.txt"
+    out.write_text("old\n" * 1000, encoding="utf-8")
+    out.chmod(0o640)
+    os.link(out, twin)
+    before = out.stat()
+    assert cli.main(["parse", profile, "--out", str(out)]) == 0
+    after = out.stat()
+    assert after.st_ino == before.st_ino and after.st_nlink == 2
+    assert stat.S_IMODE(after.st_mode) == 0o640
+    assert cli.main(["parse", profile]) == 0
+    assert twin.read_text(encoding="utf-8") == capsys.readouterr().out
+    assert twin.read_bytes() == out.read_bytes()
+
+
+def test_short_writes_are_continued(tmp_path, monkeypatch, capsys):
+    profile = ladder(tmp_path)
+    assert cli.main(["pattern", profile]) == 0
+    expected = capsys.readouterr().out.encode()
+    real_write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:1000]))
+    out = tmp_path / "pattern.csv"
+    assert cli.main(["pattern", profile, "--out", str(out)]) == 0
+    assert len(expected) > 3000 and out.read_bytes() == expected
+
+
+@pytest.mark.parametrize("flag", ["--out", "--state-map-out"])
+def test_out_to_dev_null_exits_0(tmp_path, capsys, flag):
+    assert cli.main(["pattern", ladder(tmp_path), flag, os.devnull]) == 0
+
+
+# A read-only file is no test here: root ignores the mode bits.
+@pytest.mark.parametrize("flag", ["--out", "--state-map-out"])
+@pytest.mark.parametrize("where", ["a_dir", "missing/out.txt"])
+def test_an_unwritable_out_exits_3(tmp_path, capsys, flag, where):
+    (tmp_path / "a_dir").mkdir()
+    assert cli.main(["pattern", ladder(tmp_path), flag, str(tmp_path / where)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_outputs_are_never_truncated_on_open_or_renamed(tmp_path, monkeypatch, capsys):
+    opened = []
+    real_open = os.open
+
+    def open_without_truncating(path, flags, *args, **kwargs):
+        assert not flags & os.O_TRUNC, f"{path} opened with O_TRUNC"
+        opened.append(os.fspath(path))
+        return real_open(path, flags, *args, **kwargs)
+
+    def no_rename(*args, **kwargs):
+        raise AssertionError(f"rename {args}")
+
+    runs = rewrite_outputs(tmp_path)
+    monkeypatch.setattr(os, "open", open_without_truncating)
+    monkeypatch.setattr(os, "replace", no_rename)
+    monkeypatch.setattr(os, "rename", no_rename)
+    for argv in runs * 2:  # the second round rewrites the first round's files
+        assert cli.main(argv) == 0
+    written = [a for argv in runs for flag, a in zip(argv, argv[1:]) if flag.endswith("-out")]
+    assert len(set(written)) == 9
+    assert sorted(opened) == sorted(written * 2)  # each output went through os.open

@@ -138,6 +138,14 @@ def test_gate_spec_rejects_nonphysical_kaiser_beta(beta):
         GateSpec(0.0, 5e-9, pre_window=beta)
 
 
+# _tukey divides by the taper fraction, which overflows for a subnormal one.
+@pytest.mark.xfail(raises=RuntimeWarning, strict=True, reason="_tukey overflows")
+def test_a_subnormal_taper_gives_a_finite_gate():
+    sweep = synth_multipath([(2e-9, 1.0)], FREQS)
+    out = time_gate(sweep, GateSpec(0.0, 6e-9, window_shape=5e-324))
+    assert np.all(np.isfinite(out.values))
+
+
 def test_gate_at_the_largest_kaiser_beta_is_finite():
     sweep = synth_multipath([(2e-9, 1.0)], FREQS)
     out = time_gate(sweep, GateSpec(0.0, 6e-9, pre_window=700.0))

@@ -14,11 +14,15 @@ can be run on the same files. Each invocation runs as ``python -m risnet.cli``
 directory ``OUT_DIR/<case>``, on inputs under the relative path ``in/``.
 That directory then holds the invocation's ``argv``, ``stdout``, ``stderr``,
 ``exit`` code and any file it wrote. ``--stamp`` timestamps are replaced by
-``<timestamp>``, so a rerun gives the same bytes. Compare two checkouts with
-``diff -r OUT_A OUT_B``. PYTHONPATH entries are resolved against the
-directory the tool is started from. The tool exits 1 when any invocation
-exits with a code outside the CLI's 0/2/3/4 contract (a traceback, or a
-``risnet`` that could not be imported).
+``<timestamp>``, so a rerun gives the same bytes. An invocation that writes a
+file (``--out`` or ``--state-map-out``) then runs a second time in the same
+directory, over its first outputs, as a user rerunning a command does; its
+output files, stdout, stderr and exit code must come out the same after
+masking. Compare two checkouts with ``diff -r OUT_A OUT_B``. PYTHONPATH
+entries are resolved against the directory the tool is started from. The
+tool exits 1 when any invocation exits with a code outside the CLI's 0/2/3/4
+contract (a traceback, or a ``risnet`` that could not be imported), or when a
+second run differs from its first.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ TIMESTAMP = re.compile(rb"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d(\.\d+)?\+00:00")
 LINE = ["--line-width-m", "1.5e-3"]
 GATE = ["--t-start-s", "0", "--t-stop-s", "6e-9"]
 STEER = ["--theta-deg", "20", "--phi-az-deg", "30"]
+WRITES = {"--out", "--state-map-out"}
 
 CASES = {
     "parse-s2p-text": ["parse", "in/uc401.s2p"],
@@ -163,9 +168,18 @@ def fill(in_dir: Path) -> None:
     (in_dir / "binary.s2p").write_bytes(bytes(range(256)))
 
 
-def run_case(name: str, argv: list, in_dir: Path, out_dir: Path, env: dict) -> int:
-    case = out_dir / name
-    case.mkdir(parents=True)
+def store(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` unless it already holds exactly that.
+
+    Masking and a rerun then leave unchanged files alone, and do not pay the
+    stall of truncating a file that holds data (see the README, "Output files").
+    """
+    if not path.exists() or path.read_bytes() != data:
+        path.write_bytes(data)
+
+
+def invoke(argv: list, case: Path, in_dir: Path, env: dict) -> dict:
+    """Run one invocation in ``case``; return every file there, timestamps masked."""
     link = case / "in"
     link.symlink_to(in_dir, target_is_directory=True)
     try:
@@ -173,13 +187,24 @@ def run_case(name: str, argv: list, in_dir: Path, out_dir: Path, env: dict) -> i
                               capture_output=True, timeout=300)
     finally:
         link.unlink()
+    store(case / "stdout", proc.stdout)
+    store(case / "stderr", proc.stderr)
+    store(case / "exit", f"{proc.returncode}\n".encode())
+    files = {}
+    for path in sorted(case.iterdir()):
+        files[path.name] = TIMESTAMP.sub(b"<timestamp>", path.read_bytes())
+        store(path, files[path.name])
+    return files
+
+
+def run_case(name: str, argv: list, in_dir: Path, out_dir: Path, env: dict) -> tuple:
+    """Exit code of case ``name``, and whether a file-writing case gave the same on a rerun."""
+    case = out_dir / name
+    case.mkdir(parents=True)
     (case / "argv").write_text(" ".join(argv) + "\n", encoding="utf-8")
-    (case / "stdout").write_bytes(proc.stdout)
-    (case / "stderr").write_bytes(proc.stderr)
-    (case / "exit").write_text(f"{proc.returncode}\n", encoding="utf-8")
-    for path in case.iterdir():
-        path.write_bytes(TIMESTAMP.sub(b"<timestamp>", path.read_bytes()))
-    return proc.returncode
+    first = invoke(argv, case, in_dir, env)
+    same = not WRITES.intersection(argv) or invoke(argv, case, in_dir, env) == first
+    return int(first["exit"]), same
 
 
 def main() -> int:
@@ -203,13 +228,18 @@ def main() -> int:
     if out_dir.exists() and any(out_dir.iterdir()):
         print(f"error: {out_dir} is not empty", file=sys.stderr)
         return 2
-    codes = [run_case(name, case, in_dir, out_dir, env) for name, case in CASES.items()]
-    print(f"{len(codes)} invocations ({sum(c != 0 for c in codes)} nonzero exits) in {out_dir}")
-    stray = [f"{name} ({c})" for name, c in zip(CASES, codes) if c not in (0, 2, 3, 4)]
+    results = {name: run_case(name, case, in_dir, out_dir, env) for name, case in CASES.items()}
+    reruns = sum(bool(WRITES.intersection(case)) for case in CASES.values())
+    nonzero = sum(code != 0 for code, _ in results.values())
+    print(f"{len(results)} invocations ({nonzero} nonzero exits, {reruns} rerun over their "
+          f"outputs) in {out_dir}")
+    stray = [f"{name} ({code})" for name, (code, _) in results.items() if code not in (0, 2, 3, 4)]
     if stray:
         print(f"error: exit code outside 0/2/3/4: {', '.join(stray)}", file=sys.stderr)
-        return 1
-    return 0
+    changed = [name for name, (_, same) in results.items() if not same]
+    if changed:
+        print(f"error: a rerun over its own outputs differs: {', '.join(changed)}", file=sys.stderr)
+    return 1 if stray or changed else 0
 
 
 if __name__ == "__main__":
