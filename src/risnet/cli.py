@@ -283,11 +283,12 @@ def cmd_pattern(args) -> int:
         _format_rows(f"%.12g,{_fmt(args.phi_az_deg)},%.12g\n", theta_grid, af_db),
     )
 
-    if args.state_map_out is not None:
+    if args.state_map_out is not None:  # the map holds state labels, not row positions
+        labels = np.asarray(profile.states)[state_map]
         if args.state_map_out.endswith(".json"):
-            _write_file(args.state_map_out, arr.state_map_to_json(state_map))
+            _write_file(args.state_map_out, arr.state_map_to_json(labels))
         else:
-            _write_file(args.state_map_out, arr.state_map_to_text(state_map))
+            _write_file(args.state_map_out, arr.state_map_to_text(labels))
 
     summary = [
         ("tiles", f"{layout.tiles_x}x{layout.tiles_y}"),
@@ -307,16 +308,21 @@ def cmd_pattern(args) -> int:
     return 0
 
 
-def _load_sweep(path: str) -> gating.Sweep:
+def _load_sweep(path: str) -> tuple:
+    """(sweep, reference impedance in ohms) of a sweep file; a CSV sweep counts as 50 ohms."""
     text = _read_text(path)
     if Path(path).suffix.lower() == ".csv":
-        return gating.load_sweep_csv(text)
+        return gating.load_sweep_csv(text), 50.0
     net = touchstone.parse_touchstone(text)
-    return gating.sweep_from_network(net)
+    return gating.sweep_from_network(net), net.reference_impedance
 
 
 def cmd_gate(args) -> int:
-    sweep = _load_sweep(args.sweep)
+    if args.normalize and args.reference is None:
+        raise ValueError("--normalize requires --reference <plate sweep file>")
+    if args.reference is not None and not args.normalize:
+        raise ValueError("--reference is only read with --normalize")
+    sweep, z0 = _load_sweep(args.sweep)
     gate = gating.GateSpec(
         t_start=args.t_start_s,
         t_stop=args.t_stop_s,
@@ -325,10 +331,12 @@ def cmd_gate(args) -> int:
     )
     result = gating.time_gate(sweep, gate)
     if args.normalize:
-        if args.reference is None:
-            raise ValueError("--normalize requires --reference <plate sweep file>")
-        reference = gating.time_gate(_load_sweep(args.reference), gate)
-        result = gating.normalize_to_plate(result, reference)
+        plate, plate_z0 = _load_sweep(args.reference)
+        if plate_z0 != z0:
+            raise InputDataError(
+                f"--reference is at R {_fmt(plate_z0)} ohm but the sweep at R {_fmt(z0)} ohm"
+            )
+        result = gating.normalize_to_plate(result, gating.time_gate(plate, gate))
     lo, hi = gating.low_confidence_edges(result)
     comments = _stamp_comments(args) + (
         f"gate_start_s={_fmt(gate.t_start)} gate_stop_s={_fmt(gate.t_stop)} "
@@ -336,7 +344,7 @@ def cmd_gate(args) -> int:
         f"low_confidence_below_hz={_fmt(lo)} low_confidence_above_hz={_fmt(hi)}",
     )
     if args.out is not None and args.out.lower().endswith(".s1p"):
-        net = gating.sweep_to_network(result)
+        net = gating.sweep_to_network(result, z0)
         _write_output(
             touchstone.serialize_touchstone(net, "RI", "GHz", comments=comments), args.out
         )
@@ -441,7 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pre-window Kaiser beta (default 6.0)")
     p.add_argument("--normalize", action="store_true",
                    help="divide by a gated metal-plate reference")
-    p.add_argument("--reference", type=str, default=None, help="plate reference sweep file")
+    p.add_argument("--reference", type=str, default=None,
+                   help="plate reference sweep file, read with --normalize")
     return parser
 
 

@@ -113,9 +113,11 @@ def _tukey(m: int, alpha: float) -> np.ndarray:
 
     Follows scipy.signal.windows.tukey operation for operation, so the two
     are bitwise equal: alpha <= 0 is rectangular and alpha >= 1 is scipy's
-    Hann window.
+    Hann window. An alpha so small that 2*(m-1)/alpha overflows (a subnormal,
+    say) is rectangular too, where the taper formula would give inf - inf.
     """
-    if m <= 1 or alpha <= 0:
+    # A Python float divides to inf where a numpy scalar would also warn.
+    if m <= 1 or alpha <= 0 or not 2.0 * (m - 1) / float(alpha) < math.inf:
         return np.ones(m)
     if alpha >= 1.0:
         return 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, m))

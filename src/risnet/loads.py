@@ -17,7 +17,7 @@ import numpy as np
 
 from .array import C0, _wrap180
 from .errors import InputDataError
-from .network import cascade, interp_s
+from .network import cascade, interp_s, profile_from_network
 from .touchstone import (
     PortNetwork,
     ReflectionProfile,
@@ -27,6 +27,9 @@ from .touchstone import (
 )
 
 TERMINATIONS = ("open", "short")
+
+# A stub's reflection is the open stub's times its termination's sign, exactly.
+_SIGN = {"open": 1.0, "short": -1.0}
 
 # Eight-state target reflection phases, degrees.
 SP8T_TARGETS_DEG = tuple(45.0 * i for i in range(8))
@@ -228,7 +231,7 @@ def stub_reflection(length, termination: str, f, line: MicrostripLine):
     if np.any(np.asarray(length) < 0):
         raise ValueError("stub length must be >= 0")
     f = np.asarray(f, dtype=float)
-    sign = 1.0 if termination == "open" else -1.0
+    sign = _SIGN[termination]
     mag = ratio = 1.0  # a lossless line skips the loss term: 10**-0.0 is exactly 1
     with np.errstate(over="ignore", invalid="ignore"):
         beta = 2.0 * np.pi * f * math.sqrt(microstrip_eeff(line)) / C0
@@ -248,13 +251,14 @@ def stub_reflection(length, termination: str, f, line: MicrostripLine):
     return out if out.ndim else complex(out)
 
 
-def _terminated_gamma(switch: PortNetwork | None, gamma_term: np.ndarray, f: np.ndarray):
-    """Loads (states x frequencies) seen through the switch path (identity if ideal)."""
-    if switch is None:
-        return gamma_term
-    return cascade(
-        interp_s(switch, f), gamma_term, lambda ik: f"state {ik[0]} at {f[ik[1]]} Hz"
-    )
+def _stub_bank(signs: np.ndarray, lengths, f, line: MicrostripLine) -> np.ndarray:
+    """Reflections of stubs with termination ``signs`` (states,), one per row of ``lengths``.
+
+    ``lengths`` (states, ...) broadcasts against ``f``; one open-stub call
+    serves every state.
+    """
+    g = stub_reflection(lengths, "open", f, line)
+    return signs.reshape(signs.shape + (1,) * (g.ndim - 1)) * g
 
 
 def spdt_load_profile(switch: PortNetwork | None, frequencies) -> ReflectionProfile:
@@ -264,21 +268,21 @@ def spdt_load_profile(switch: PortNetwork | None, frequencies) -> ReflectionProf
     switch network cascades the open/ground terminations through its 2-port.
     """
     f = np.asarray(frequencies, dtype=float)
-    term = np.outer([1.0, -1.0], np.ones(f.shape)).astype(complex)
-    return ReflectionProfile(states=(0, 1), frequencies=f, gamma=_terminated_gamma(switch, term, f))
+    gamma = np.outer([1.0, -1.0], np.ones(f.shape))
+    bare = ReflectionProfile(states=(0, 1), frequencies=f, gamma=gamma)
+    return bare if switch is None else profile_from_network(switch, bare)
 
 
 def sp8t_load_profile(design: StubNetworkDesign, frequencies) -> ReflectionProfile:
-    """Eight-state load profile of a stub-bank design."""
+    """Eight-state load profile of a stub-bank design, seen through its switch."""
     if len(design.states) != 8:
         raise InputDataError(f"need an 8-state design, got {len(design.states)} states")
     f = np.asarray(frequencies, dtype=float)
-    term = np.array(
-        [stub_reflection(st.length_m, st.termination, f, design.line) for st in design.states]
-    )
-    return ReflectionProfile(
-        states=tuple(range(8)), frequencies=f, gamma=_terminated_gamma(design.switch, term, f)
-    )
+    signs = np.array([_SIGN[st.termination] for st in design.states])
+    lengths = np.array([[st.length_m] for st in design.states])
+    gamma = _stub_bank(signs, lengths, f, design.line)
+    bare = ReflectionProfile(states=tuple(range(8)), frequencies=f, gamma=gamma)
+    return bare if design.switch is None else profile_from_network(design.switch, bare)
 
 
 def _lossless_solution_deg(target_deg: float) -> tuple:
@@ -324,9 +328,10 @@ def synthesize_stub_lengths(
     one objective call on (8, n) lengths per step, until each is narrower than
     lambda_g/2 * 1e-9. A state's result does not depend on the others.
 
-    Per-state residuals are reported at ``f_center``; for an ideal switch
-    and moderate fractional bandwidths (the 14% default band included) they
-    stay below a degree.
+    Each state's ``residual_deg`` is the phase error of the design's own
+    :func:`sp8t_load_profile` at ``f_center``; for an ideal switch and
+    moderate fractional bandwidths (the 14% default band included) it stays
+    below a degree.
     """
     f_lo, f_hi = float(band[0]), float(band[1])
     if not (f_lo <= f_center <= f_hi):
@@ -351,21 +356,16 @@ def synthesize_stub_lengths(
     w = w / np.sum(w)
 
     s_grid = None if switch is None else interp_s(switch, grid)
-    s_center = None if switch is None else interp_s(switch, np.array([f_center]))
     terms = [_lossless_solution_deg(target)[0] for target in SP8T_TARGETS_DEG]
-    # A short is an open stub times -1: exact, so one stub call serves both.
-    signs = np.where(np.array(terms) == "open", 1.0, -1.0)[:, None, None]
-    targets = np.array(SP8T_TARGETS_DEG)[:, None, None]
-
-    def phase_error_deg(lengths, freqs, s) -> np.ndarray:
-        """Wrapped phase errors (states x lengths x freqs) of the stubs behind the switch."""
-        g = signs * stub_reflection(lengths[..., None], "open", freqs, line)
-        if s is not None:
-            g = cascade(s, g, lambda ijk: f"state {ijk[0]} at {freqs[ijk[2]]} Hz")
-        return _wrap180(np.angle(g, deg=True) - targets)
+    signs = np.array([_SIGN[term] for term in terms])
+    targets = np.array(SP8T_TARGETS_DEG)
 
     def objective(lengths) -> np.ndarray:
-        return np.sum(w * phase_error_deg(lengths, grid, s_grid) ** 2, axis=2)
+        """Weighted mean-square wrapped phase error (states x lengths) on the band grid."""
+        g = _stub_bank(signs, lengths[..., None], grid, line)
+        if s_grid is not None:
+            g = cascade(s_grid, g, lambda ijk: f"state {ijk[0]} at {grid[ijk[2]]} Hz")
+        return np.sum(w * _wrap180(np.angle(g, deg=True) - targets[:, None, None]) ** 2, axis=2)
 
     period = guided_wavelength(line, f_center) / 2.0
     tol = period * 1e-9
@@ -387,12 +387,9 @@ def synthesize_stub_lengths(
         step = (a2, b2, np.where(left, x, d), np.where(left, c, x),
                 np.where(left, fx, fd), np.where(left, fc, fx))
         a, b, c, d, fc, fd = np.where(live, step, (a, b, c, d, fc, fd))
-    lengths = (a + b) / 2.0
-    residuals = np.abs(phase_error_deg(lengths[:, None], np.array([f_center]), s_center))
-    states = tuple(
-        StubState(state=i, termination=term, length_m=length, residual_deg=residual)
-        for i, (term, length, residual) in enumerate(
-            zip(terms, lengths.tolist(), residuals.ravel().tolist())
-        )
-    )
-    return StubNetworkDesign(states=states, line=line, switch=switch)
+    lengths = ((a + b) / 2.0).tolist()
+    design = StubNetworkDesign(tuple(map(StubState, range(8), terms, lengths)), line, switch)
+    g = sp8t_load_profile(design, [f_center]).gamma[:, 0]
+    residuals = np.abs(_wrap180(np.angle(g, deg=True) - targets)).tolist()
+    states = map(StubState, range(8), terms, lengths, residuals)
+    return StubNetworkDesign(tuple(states), line, switch)

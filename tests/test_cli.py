@@ -377,6 +377,7 @@ def test_gate_two_path_fixture_via_files(tmp_path):
     from risnet.gating import sweep_from_network
     from risnet.touchstone import parse_touchstone
 
+    assert "\n# GHz S RI R 50\n" in out.read_text()  # a CSV sweep counts as 50 ohms
     gated = sweep_from_network(parse_touchstone(out.read_text()))
     n = freqs.size
     sl = slice(int(0.1 * n), int(0.9 * n))
@@ -1095,3 +1096,78 @@ def test_outputs_are_never_truncated_on_open_or_renamed(tmp_path, monkeypatch, c
     written = [a for argv in runs for flag, a in zip(argv, argv[1:]) if flag.endswith("-out")]
     assert len(set(written)) == 9
     assert sorted(opened) == sorted(written * 2)  # each output went through os.open
+
+
+def pattern_maps(tmp_path, name, labels):
+    """The state map of a steered 6x6-tile cut of a profile with ``labels``, as an array.
+
+    State ``labels[k]`` has phase k * 360 / len(labels). The text and the JSON
+    map are both written, and must agree.
+    """
+    n = len(labels)
+    rows = [f"{f:.12g},{s},0,{360.0 * k / n:.12g}"
+            for k, s in enumerate(labels) for f in np.linspace(3.3e9, 3.8e9, 5)]
+    path = tmp_path / f"{name}.csv"
+    path.write_text("freq_hz,state,mag_db,phase_deg\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    maps = []
+    for suffix in (".txt", ".json"):
+        out = tmp_path / f"{name}_map{suffix}"
+        argv = ["pattern", str(path), "--theta-deg", "20", "--phi-az-deg", "30",
+                "--out", str(tmp_path / "af.csv"), "--state-map-out", str(out)]
+        assert cli.main(argv) == 0
+        text = out.read_text(encoding="utf-8")
+        maps.append(json.loads(text)["states"] if suffix == ".json"
+                    else [[int(v) for v in row.split()] for row in text.splitlines()])
+    assert maps[0] == maps[1]
+    return np.array(maps[0])
+
+
+@pytest.mark.parametrize("labels", [(5, 9), tuple(range(1, 9)), (0, 3, 4, 7, 10, 11, 12, 20)])
+def test_state_maps_hold_the_profiles_labels(tmp_path, capsys, labels):
+    positions = pattern_maps(tmp_path, "by_position", range(len(labels)))
+    assert len(np.unique(positions)) == len(labels)  # the steered cut uses every state
+    np.testing.assert_array_equal(pattern_maps(tmp_path, "by_label", labels),
+                                  np.array(labels)[positions])
+
+
+def write_sweep_s1p(path, z0, values=None):
+    freqs = np.linspace(3.0e9, 4.2e9, 401)
+    if values is None:
+        values = synth_multipath([(2e-9, 0.6)], freqs).values
+    rows = [f"{f / 1e9:.12g} {v.real:.12g} {v.imag:.12g}" for f, v in zip(freqs, values)]
+    path.write_text(f"# GHz S RI R {z0}\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("z0", ["75", "50", "12.5"])
+def test_a_gated_s1p_keeps_its_reference_impedance(tmp_path, z0):
+    src = write_sweep_s1p(tmp_path / "dut.s1p", z0)
+    out = tmp_path / "g.s1p"
+    assert cli.main(["gate", src, "--t-start-s", "0", "--t-stop-s", "6e-9",
+                     "--out", str(out)]) == 0
+    option = [r for r in out.read_text().splitlines() if r.startswith("#")]
+    assert option == [f"# GHz S RI R {z0}"]
+
+
+def test_a_reference_at_another_impedance_exits_3(tmp_path, capsys):
+    dut = write_sweep_s1p(tmp_path / "dut.s1p", "75")
+    plate = write_sweep_s1p(tmp_path / "plate.s1p", "50")
+    out = tmp_path / "g.s1p"
+    assert cli.main(["gate", dut, "--t-start-s", "0", "--t-stop-s", "6e-9", "--normalize",
+                     "--reference", plate, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: --reference is at R 50 ohm but the sweep at R 75 ohm\n"
+    assert not out.exists()
+    plate75 = write_sweep_s1p(tmp_path / "plate75.s1p", "75")
+    assert cli.main(["gate", dut, "--t-start-s", "0", "--t-stop-s", "6e-9", "--normalize",
+                     "--reference", plate75, "--out", str(out)]) == 0
+    assert "R 75" in out.read_text()
+
+
+def test_reference_without_normalize_exits_2(tmp_path, capsys):
+    src = write_sweep_s1p(tmp_path / "dut.s1p", "50")
+    out = tmp_path / "g.csv"
+    assert cli.main(["gate", src, "--t-start-s", "0", "--t-stop-s", "6e-9",
+                     "--reference", src, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--normalize" in err and "Traceback" not in err
+    assert not out.exists()

@@ -138,12 +138,23 @@ def test_gate_spec_rejects_nonphysical_kaiser_beta(beta):
         GateSpec(0.0, 5e-9, pre_window=beta)
 
 
-# _tukey divides by the taper fraction, which overflows for a subnormal one.
-@pytest.mark.xfail(raises=RuntimeWarning, strict=True, reason="_tukey overflows")
+# _tukey divides by the taper fraction; one that overflows it is rectangular.
 def test_a_subnormal_taper_gives_a_finite_gate():
     sweep = synth_multipath([(2e-9, 1.0)], FREQS)
     out = time_gate(sweep, GateSpec(0.0, 6e-9, window_shape=5e-324))
     assert np.all(np.isfinite(out.values))
+    rectangular = time_gate(sweep, GateSpec(0.0, 6e-9, window_shape=0.0))
+    assert out.values.tobytes() == rectangular.values.tobytes()
+
+
+@pytest.mark.parametrize("m", [2, 3, 64, 2401])
+def test_a_taper_too_small_for_the_formula_is_rectangular(m):
+    edge = 2.0 * (m - 1) / np.finfo(float).max  # below this, 2*(m-1)/alpha overflows
+    for alpha in (5e-324, edge / 2, edge * 0.999):
+        assert np.array_equal(_tukey(m, alpha), np.ones(m)), alpha
+    tukey = pytest.importorskip("scipy.signal.windows").tukey
+    alpha = float(edge * 1.001)  # just above the edge, scipy's formula again
+    assert np.array_equal(_tukey(m, alpha), tukey(m, alpha))
 
 
 def test_gate_at_the_largest_kaiser_beta_is_finite():
