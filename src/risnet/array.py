@@ -178,15 +178,13 @@ def _steering_vectors(u, coords, k0: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=_STEERING_CACHE_SIZE)
-def _steering_matrices(layout: ArrayLayout, k0: float, theta_shape: tuple, theta_bytes: bytes,
-                       phi_shape: tuple, phi_bytes: bytes) -> tuple:
-    """Read-only (A_x, A_y) over the theta x phi directions, given in radians as bytes.
+def _steering_matrices(layout: ArrayLayout, k0: float, theta: bytes, phi: bytes) -> tuple:
+    """Read-only (A_x, A_y) over the theta x phi directions, 1-D radians given as bytes.
 
     The bytes key keeps -0.0 apart from 0.0, whose exponentials differ in the
     sign of a zero imaginary part.
     """
-    theta = np.frombuffer(theta_bytes).reshape(theta_shape)
-    phi = np.frombuffer(phi_bytes).reshape(phi_shape)
+    theta, phi = np.frombuffer(theta), np.frombuffer(phi)
     x, y = layout.cell_positions()
     sin_t = np.sin(theta)[:, np.newaxis]
     a_x = _steering_vectors((sin_t * np.cos(phi)).ravel(), x[0], k0)
@@ -209,7 +207,8 @@ def array_factor(
     Evaluates sum_cells gamma(cell) * exp(+j*k*(x*sin(theta)*cos(phi) +
     y*sin(theta)*sin(phi))) times an optional cos^q(theta) element factor
     (q = ``element_exponent``, 0 disables it), which is 0 behind the surface
-    (|theta| > 90 degrees). Output shape is
+    (|theta| > 90 degrees). ``theta_deg`` and ``phi_az_deg`` are scalars or
+    1-D arrays (anything else raises ValueError); the output shape is
     (len(theta_deg), len(phi_az_deg)) squeezed to 1-D when a single azimuth
     is given. Normalize against its own max for dB plots. On the regular cell
     grid the sum factors as a_y(v)^T G a_x(u) with G the (cells_y, cells_x)
@@ -237,11 +236,12 @@ def array_factor(
         raise ValueError(f"element_exponent must be finite and >= 0, got {element_exponent}")
     theta_deg = np.atleast_1d(np.asarray(theta_deg, dtype=float))
     phi_az_deg = np.atleast_1d(np.asarray(phi_az_deg, dtype=float))
+    if theta_deg.ndim > 1 or phi_az_deg.ndim > 1:
+        raise ValueError("theta_deg and phi_az_deg must be scalars or 1-D arrays")
     theta, phi = np.deg2rad(theta_deg), np.deg2rad(phi_az_deg)
     if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(phi))):
         raise ValueError("theta_deg and phi_az_deg must be finite")
-    a_x, a_y = _steering_matrices(layout, k0, theta.shape, theta.tobytes(),
-                                  phi.shape, phi.tobytes())
+    a_x, a_y = _steering_matrices(layout, k0, theta.tobytes(), phi.tobytes())
     gamma = gamma_states[state_map]
     af = np.empty(a_x.shape[0], dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -39,7 +39,8 @@ MAX_BAND_POINTS = 10_001
 
 
 def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    """The UTF-8 text of ``path``, read the same with or without a leading byte-order mark."""
+    return Path(path).read_text(encoding="utf-8-sig")
 
 
 def _write_file(path: str, text: str) -> None:
@@ -242,6 +243,9 @@ def cmd_bandwidth(args) -> int:
 def _theta_grid(args) -> np.ndarray:
     """The --theta-* cut, with its length checked before it is allocated."""
     start, stop, step = args.theta_start_deg, args.theta_stop_deg, args.theta_step_deg
+    for flag, value in (("--theta-start-deg", start), ("--theta-stop-deg", stop)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
     if not (step > 0 and math.isfinite(step)):
         raise ValueError(f"--theta-step-deg must be finite and > 0, got {step}")
     if not stop >= start:
@@ -285,7 +289,7 @@ def cmd_pattern(args) -> int:
 
     if args.state_map_out is not None:  # the map holds state labels, not row positions
         labels = np.asarray(profile.states)[state_map]
-        if args.state_map_out.endswith(".json"):
+        if args.state_map_out.lower().endswith(".json"):
             _write_file(args.state_map_out, arr.state_map_to_json(labels))
         else:
             _write_file(args.state_map_out, arr.state_map_to_text(labels))

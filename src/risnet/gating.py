@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GateSpanError, InputDataError, ReferenceLevelError, SweepGridError
+from .errors import GateSpanError, ReferenceLevelError, SweepGridError
 from .touchstone import (
     PortNetwork,
     _csv_rows,
@@ -23,6 +23,7 @@ from .touchstone import (
     _format_rows,
     _frequency_grid,
     _reject_rows,
+    _require_ports,
 )
 
 # Zero-padding factor applied before the time-domain transform.
@@ -199,8 +200,7 @@ def low_confidence_edges(sweep: Sweep) -> tuple:
 
 def sweep_from_network(net: PortNetwork) -> Sweep:
     """View a 1-port network's S11 as a sweep."""
-    if net.n_ports != 1:
-        raise InputDataError(f"need a 1-port network, got {net.n_ports} ports")
+    _require_ports(net, 1)
     return Sweep(frequencies=net.frequencies, values=net.s[:, 0, 0])
 
 

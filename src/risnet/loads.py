@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .touchstone import (
     PortNetwork,
     ReflectionProfile,
     _require_in_sweep,
+    _require_ports,
     parse_touchstone,
     serialize_touchstone,
 )
@@ -37,9 +38,8 @@ SP8T_TARGETS_DEG = tuple(45.0 * i for i in range(8))
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _COARSE_POINTS = 64
 
-# Design JSON field types; _REQUIRED marks a field without a default.
+# The design JSON type of a number field.
 _NUMBER = (int, float)
-_REQUIRED = object()
 
 
 @dataclass(frozen=True)
@@ -93,10 +93,9 @@ class StubState:
 
 @dataclass(frozen=True)
 class StubNetworkDesign:
-    """A bank of stub terminations behind one (shared) switch model.
+    """The SP8T stub bank: states 0..7 in order, 4 open and 4 short, behind one switch model.
 
     ``switch`` is a measured 2-port per throw, or None for an ideal switch.
-    Eight-state designs must split terminations 4 open / 4 short.
     """
 
     states: tuple
@@ -104,17 +103,13 @@ class StubNetworkDesign:
     switch: PortNetwork | None = None
 
     def __post_init__(self):
-        n = len(self.states)
-        if n < 1 or (n & (n - 1)) != 0:
-            raise ValueError("state count must be a power of two")
-        if [st.state for st in self.states] != list(range(n)):
-            raise ValueError("states must be labelled 0..n-1 in order")
-        if n == 8:
-            n_open = sum(1 for st in self.states if st.termination == "open")
-            if n_open != 4:
-                raise ValueError(
-                    f"8-state design needs 4 open and 4 short terminations, got {n_open} open"
-                )
+        if (labels := [st.state for st in self.states]) != list(range(8)):
+            raise ValueError(f"8-state design needs states 0..7 in order, got {labels}")
+        n_open = sum(1 for st in self.states if st.termination == "open")
+        if n_open != 4:
+            raise ValueError(
+                f"8-state design needs 4 open and 4 short terminations, got {n_open} open"
+            )
 
     def to_json(self, f_center_hz: float | None = None) -> str:
         doc = {
@@ -149,48 +144,50 @@ class StubNetworkDesign:
             raise InputDataError(f"design JSON: {e}") from None
 
 
-# The design JSON schema: per object, (JSON key, attribute, accepted types,
-# default) of each field, in document order.
+# The design JSON schema: per object, (JSON key, attribute, accepted types) of
+# each field, in document order. A field's default is its dataclass default.
 _JSON_FIELDS = {
     MicrostripLine: (
-        ("width_m", "width", _NUMBER, _REQUIRED),
-        ("substrate_height_m", "substrate_height", _NUMBER, _REQUIRED),
-        ("epsilon_r", "epsilon_r", _NUMBER, _REQUIRED),
-        ("loss_db_per_m", "loss_db_per_m", _NUMBER, 0.0),
-        ("reference_frequency_hz", "reference_frequency", _NUMBER, 3.6e9),
+        ("width_m", "width", _NUMBER),
+        ("substrate_height_m", "substrate_height", _NUMBER),
+        ("epsilon_r", "epsilon_r", _NUMBER),
+        ("loss_db_per_m", "loss_db_per_m", _NUMBER),
+        ("reference_frequency_hz", "reference_frequency", _NUMBER),
     ),
     StubState: (
-        ("state", "state", int, _REQUIRED),
-        ("termination", "termination", str, _REQUIRED),
-        ("length_m", "length_m", _NUMBER, _REQUIRED),
-        ("residual_deg", "residual_deg", _NUMBER + (type(None),), None),
+        ("state", "state", int),
+        ("termination", "termination", str),
+        ("length_m", "length_m", _NUMBER),
+        ("residual_deg", "residual_deg", _NUMBER + (type(None),)),
     ),
 }
 
 
 def _json_object(obj) -> dict:
     """The design JSON object of a line or stub state, keys in table order."""
-    return {key: getattr(obj, attr) for key, attr, _, _ in _JSON_FIELDS[type(obj)]}
+    return {key: getattr(obj, attr) for key, attr, _ in _JSON_FIELDS[type(obj)]}
 
 
 def _from_json_object(cls, node, path: str):
     """Inverse of :func:`_json_object`: a ``cls`` built from the object at ``path``."""
+    defaults = {f.name: f.default for f in fields(cls)}
     return cls(**{
-        attr: _json_field(node, key, kind, path, default)
-        for key, attr, kind, default in _JSON_FIELDS[cls]
+        attr: _json_field(node, key, kind, path, defaults[attr])
+        for key, attr, kind in _JSON_FIELDS[cls]
     })
 
 
-def _json_field(node, key: str, kind, parent: str = "", default=_REQUIRED):
+def _json_field(node, key: str, kind, parent: str = "", default=MISSING):
     """``node[key]`` of a design JSON document, checked against the types ``kind``.
 
-    A missing or mistyped field raises InputDataError naming its path.
+    A missing field without a ``default``, or a mistyped one, raises
+    InputDataError naming its path.
     """
     path = f"{parent}.{key}" if parent else key
     if not isinstance(node, dict):
         raise InputDataError(f"design JSON: '{parent or 'document'}' must be an object")
     value = node.get(key, default)
-    if value is _REQUIRED:
+    if value is MISSING:
         raise InputDataError(f"design JSON: missing field '{path}'")
     if isinstance(value, bool) or not isinstance(value, kind):
         raise InputDataError(
@@ -275,8 +272,6 @@ def spdt_load_profile(switch: PortNetwork | None, frequencies) -> ReflectionProf
 
 def sp8t_load_profile(design: StubNetworkDesign, frequencies) -> ReflectionProfile:
     """Eight-state load profile of a stub-bank design, seen through its switch."""
-    if len(design.states) != 8:
-        raise InputDataError(f"need an 8-state design, got {len(design.states)} states")
     f = np.asarray(frequencies, dtype=float)
     signs = np.array([_SIGN[st.termination] for st in design.states])
     lengths = np.array([[st.length_m] for st in design.states])
@@ -341,6 +336,7 @@ def synthesize_stub_lengths(
     if not (f_hi - f_lo) * (f_hi - f_lo) * n_band_points < math.inf:  # keeps sum(offsets**2) finite
         raise ValueError(f"band [{f_lo}, {f_hi}] Hz is too wide to weight")
     if switch is not None:
+        _require_ports(switch, 2)
         _require_in_sweep(switch.frequencies, (f_lo, f_hi))
     if f_hi > f_lo and n_band_points < 2:
         raise ValueError(f"a band with f_hi > f_lo needs n_band_points >= 2, got {n_band_points}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputDataError, SingularityError
-from .touchstone import PortNetwork, ReflectionProfile, _interp_complex
+from .touchstone import PortNetwork, ReflectionProfile, _interp_complex, _require_ports
 
 # Denominator magnitudes at or below this are treated as singular.
 SINGULARITY_TOL = 1e-12
@@ -42,8 +42,6 @@ def cascade(s: np.ndarray, gamma_load, where=str) -> np.ndarray:
     ``where(index)``, ``index`` being its place in the broadcast shape.
     """
     s = np.asarray(s, dtype=complex)
-    if s.shape[-2:] != (2, 2):
-        raise InputDataError(f"need a 2-port network, got {s.shape[-1]} ports")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         den = 1.0 - s[..., 1, 1] * gamma_load
         singular = np.abs(den) <= SINGULARITY_TOL
@@ -89,10 +87,11 @@ def cascade_reflection(p: TwoPortPoint, gamma_load: complex) -> complex:
 def profile_from_network(unit_cell: PortNetwork, loads: ReflectionProfile) -> ReflectionProfile:
     """Cascade every load state through the unit-cell two-port.
 
-    Evaluates on the loads' frequency grid, which must lie inside the unit
-    cell's sweep. Singularities are reported with the offending state and
-    frequency.
+    The unit cell must be a 2-port, checked first. Evaluates on the loads'
+    frequency grid, which must lie inside the unit cell's sweep.
+    Singularities are reported with the offending state and frequency.
     """
+    _require_ports(unit_cell, 2)
     f = loads.frequencies
     gamma = cascade(
         interp_s(unit_cell, f),

@@ -53,7 +53,7 @@ _MAX_STATE = 2**31
 
 @dataclass(frozen=True)
 class PortNetwork:
-    """An n-port scattering-parameter sweep.
+    """A 1- or 2-port scattering-parameter sweep.
 
     ``s`` has shape (n_points, n_ports, n_ports) with s[k, i, j] the S(i+1)(j+1)
     entry at frequency ``frequencies[k]`` (Hz). The reference impedance is
@@ -68,8 +68,8 @@ class PortNetwork:
 
     def __post_init__(self):
         s = np.asarray(self.s, dtype=complex)
-        if self.n_ports < 1:
-            raise InputDataError("n_ports must be >= 1")
+        if self.n_ports not in (1, 2):
+            raise InputDataError(f"n_ports must be 1 or 2, got {self.n_ports}")
         if self.reference_impedance <= 0:
             raise InputDataError("reference impedance must be > 0")
         if not math.isfinite(self.reference_impedance):
@@ -169,6 +169,12 @@ def _require_in_sweep(sweep_f: np.ndarray, f) -> None:
         raise FrequencyRangeError(f"frequency {f_out} Hz not contained in sweep [{lo}, {hi}] Hz")
 
 
+def _require_ports(net: PortNetwork, n: int) -> None:
+    """Raise InputDataError unless ``net`` is an ``n``-port."""
+    if net.n_ports != n:
+        raise InputDataError(f"need a {n}-port network, got {net.n_ports} ports")
+
+
 def _interp_complex(src_f: np.ndarray, src_v: np.ndarray, f) -> np.ndarray:
     """Complex samples ``src_v`` (frequency on axis 0) interpolated at ``f``.
 
@@ -222,8 +228,9 @@ def _pairs_to_complex(a: np.ndarray, b: np.ndarray, fmt: str) -> np.ndarray:
         return a + 1j * b
     if fmt == "ma":
         return a * np.exp(1j * np.deg2rad(b))
-    # DB: a is 20*log10(magnitude), b is angle in degrees
-    return 10.0 ** (a / 20.0) * np.exp(1j * np.deg2rad(b))
+    # DB: a is 20*log10(magnitude), b is angle in degrees. float_power rounds
+    # exactly like the scalar **; np.power can differ in the last bit.
+    return np.float_power(10.0, a / 20.0) * np.exp(1j * np.deg2rad(b))
 
 
 def _touchstone_row(line_no: int, tokens: list) -> list:
@@ -259,10 +266,8 @@ def _touchstone_records(text: str, option: list):
                 raise TouchstoneParseError("duplicate option line", line_no)
             option.append(_parse_option_line(line, line_no))
             continue
-        if "!" in line:
+        if "!" in line:  # the line starts with data, so some is left
             line = line.split("!", 1)[0].strip()
-            if not line:
-                continue
         if not option:
             raise TouchstoneParseError("data before option line", line_no)
         yield line_no, line
@@ -390,8 +395,6 @@ def serialize_touchstone(net: PortNetwork, format: str = "RI", freq_unit: str = 
         raise ValueError(f"unknown format '{format}' (use RI, MA or DB)")
     if unit not in _FREQ_SCALE:
         raise ValueError(f"unknown frequency unit '{freq_unit}'")
-    if net.n_ports > 2:
-        raise ValueError("only 1- and 2-port networks can be serialized")
     order = _COLUMN_ORDER[:net.n_ports**2]
     entries = net.s.reshape(net.frequencies.size, -1)[:, order]
     unit_label = {"hz": "Hz", "khz": "kHz", "mhz": "MHz", "ghz": "GHz"}[unit]
@@ -525,11 +528,8 @@ def _state_profile(rows: np.ndarray, line_nos) -> ReflectionProfile:
     n = states.size
     if n & (n - 1):
         raise StateCsvError(f"state count {n} is not a power of two")
-    # float_power rounds exactly like the scalar **; np.power can differ in the last bit.
     with np.errstate(all="ignore"):  # inf or overflowing values; rejected by line below
-        gamma_rows = np.float_power(10.0, rows["mag_db"] / 20.0) * np.exp(
-            1j * np.deg2rad(rows["phase_deg"])
-        )
+        gamma_rows = _pairs_to_complex(rows["mag_db"], rows["phase_deg"], "db")
     _reject_rows(~np.isfinite(gamma_rows), StateCsvError, "gamma entries must be finite", line_nos)
     gamma = np.empty((n, freqs.size), dtype=complex)
     gamma[i, k] = gamma_rows

@@ -334,8 +334,7 @@ def test_memoized_steering_matrices_are_read_only():
     theta = np.deg2rad(np.array([0.0, 30.0]))
     phi = np.deg2rad(np.array([0.0]))
     k0 = 2.0 * np.pi * F / C0
-    for a in _steering_matrices(build_array(1, 1, 1), k0, theta.shape, theta.tobytes(),
-                                phi.shape, phi.tobytes()):
+    for a in _steering_matrices(build_array(1, 1, 1), k0, theta.tobytes(), phi.tobytes()):
         assert not a.flags.writeable
 
 
@@ -436,3 +435,13 @@ def test_layout_pitch_override():
 def test_layout_rejects_a_non_finite_pitch(axis, pitch):
     with pytest.raises(ValueError, match="pitch must be finite"):
         ArrayLayout(tiles_x=1, tiles_y=1, resolution_bits=1, **{axis: pitch})
+
+
+@pytest.mark.parametrize("theta_deg, phi_az_deg", [
+    (np.zeros((3, 2)), 0.0),
+    (np.zeros(3), np.zeros((2, 1))),
+], ids=["2-D theta", "2-D phi"])
+def test_direction_grids_are_scalars_or_1d(theta_deg, phi_az_deg):
+    with pytest.raises(ValueError, match="theta_deg and phi_az_deg must be scalars or 1-D arrays"):
+        array_factor(build_array(1, 1, 1), np.zeros((4, 4), int), IDEAL_1BIT, F,
+                     theta_deg, phi_az_deg)

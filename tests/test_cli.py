@@ -1171,3 +1171,61 @@ def test_reference_without_normalize_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "--normalize" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def bom_case(tmp_path, kind):
+    """(file name, its text, argv) of one input kind the CLI reads from a file."""
+    if kind == "state CSV":
+        write_ideal_3bit_profile(tmp_path / "p.csv", np.linspace(3.3e9, 3.8e9, 5))
+        return "p.csv", (tmp_path / "p.csv").read_text(encoding="utf-8"), ["parse", "p.csv"]
+    if kind == "sweep CSV":
+        write_sweep_csv(tmp_path / "sweep.csv", 0.5 + 0.25j)
+        text = (tmp_path / "sweep.csv").read_text(encoding="utf-8")
+        return "sweep.csv", text, ["gate", "sweep.csv", "--t-start-s", "0", "--t-stop-s", "6e-9"]
+    if kind == "Touchstone":
+        return "cell.s1p", "# Hz S RI R 50\n3e9 0.5 0\n4e9 0.5 0\n", ["parse", "cell.s1p"]
+    write_thru_s2p(tmp_path / "thru.s2p")
+    text = ideal_sp8t_design(MicrostripLine(1.5e-3, 0.8e-3, 4.9), 3.6e9).to_json()
+    return "design.json", text, ["profile", "thru.s2p", "--loads", "design.json"]
+
+
+@pytest.mark.parametrize("kind", ["state CSV", "sweep CSV", "Touchstone", "design JSON"])
+def test_a_byte_order_mark_is_read_like_none(tmp_path, monkeypatch, capsys, kind):
+    name, text, argv = bom_case(tmp_path, kind)
+    monkeypatch.chdir(tmp_path)
+    runs = []
+    for mark in ("", "\ufeff"):
+        (tmp_path / name).write_text(mark + text, encoding="utf-8")
+        runs.append((cli.main(argv), capsys.readouterr()))
+    assert runs[0][0] == 0
+    assert runs[1] == runs[0]
+
+
+def test_state_map_json_suffix_is_matched_without_case(tmp_path, capsys):
+    csv_path = write_ideal_3bit_profile(tmp_path / "p.csv", np.linspace(3.3e9, 3.8e9, 5))
+    for name in ("lower.json", "UPPER.JSON"):
+        assert cli.main(["pattern", csv_path, "--theta-deg", "20", "--out",
+                         str(tmp_path / "af.csv"), "--state-map-out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "UPPER.JSON").read_bytes() == (tmp_path / "lower.json").read_bytes()
+    assert len(json.loads((tmp_path / "UPPER.JSON").read_text())["states"]) == 4 * 6
+
+
+@pytest.mark.parametrize("argv", [
+    ["profile", "uc.s2p", "--loads", "cell.s1p"],
+    ["synth", "--switch", "cell.s1p", "--line-width-m", "1.5e-3", "--band-high-hz", "4.1e9"],
+], ids=["profile", "synth"])
+def test_a_1_port_switch_is_refused_before_interpolation(tmp_path, monkeypatch, capsys, argv):
+    """The switch's sweep ends at 4 GHz, below the unit cell's and the band's tops."""
+    write_thru_s2p(tmp_path / "uc.s2p")
+    (tmp_path / "cell.s1p").write_text("# Hz S RI R 50\n3e9 0.5 0\n4e9 0.5 0\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == "error: need a 2-port network, got 1 ports\n"
+
+
+@pytest.mark.parametrize("flag", ["--theta-start-deg", "--theta-stop-deg"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_pattern_names_a_non_finite_theta_bound(tmp_path, capsys, flag, value):
+    csv_path = write_ideal_3bit_profile(tmp_path / "p.csv", np.linspace(3.3e9, 3.8e9, 5))
+    assert cli.main(["pattern", csv_path, f"{flag}={value}"]) == 2
+    assert capsys.readouterr().err == f"error: {flag} must be finite, got {float(value)}\n"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from risnet import cli
+from risnet.array import ArrayLayout, array_factor
 from risnet.errors import (
     FrequencyRangeError,
     InputDataError,
@@ -15,9 +16,9 @@ from risnet.errors import (
     TouchstoneParseError,
 )
 from risnet.gating import Sweep, load_sweep_csv
-from risnet.loads import MicrostripLine, synthesize_stub_lengths
+from risnet.loads import MicrostripLine, StubNetworkDesign, stub_reflection, synthesize_stub_lengths
 from risnet.metrics import bandwidth, circular_gaps, effective_bits, sigma_phase
-from risnet.network import interp_s
+from risnet.network import TwoPortPoint, interp_s, profile_from_network
 from risnet.touchstone import (
     PortNetwork,
     ReflectionProfile,
@@ -230,3 +231,76 @@ def test_sigma_functions_work_along_the_last_axis():
 def test_sigma_phase_names_a_bad_gap_row():
     with pytest.raises(ValueError, match="gaps must sum to 360 degrees, got 350"):
         sigma_phase([[180.0, 180.0], [170.0, 180.0]])
+
+
+def one_port_switch():
+    """A 1-port whose sweep ends below the top of ``GRID``."""
+    return PortNetwork(1, 50.0, GRID[:3], np.zeros((3, 1, 1), complex))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: profile_from_network(one_port_switch(), eight_state_profile()),
+    lambda: synthesize_stub_lengths(one_port_switch(), LINE, 3.6e9, (3.3e9, 3.9e9)),
+], ids=["profile_from_network", "synthesize_stub_lengths"])
+def test_the_port_count_is_checked_before_the_sweep_range(call):
+    with pytest.raises(InputDataError) as exc:
+        call()
+    assert type(exc.value) is InputDataError
+    assert str(exc.value) == "need a 2-port network, got 1 ports"
+
+
+def design_json(states):
+    return ('{"line": {"width_m": 1.5e-3, "substrate_height_m": 8e-4, "epsilon_r": 4.9}, '
+            f'"switch": "ideal", "states": {states}}}')
+
+
+# Rules whose raise no other test reaches: (call, exception class, message).
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: load_state_csv(STATE_HEADER), StateCsvError, "line 1: no data rows"),
+    (lambda: parse_touchstone("# Hz S RI R 50\n! no records\n"), TouchstoneParseError,
+     "line 1: no data records"),
+    (lambda: parse_touchstone("# Hz GHz S RI\n1 0 0\n"), TouchstoneParseError,
+     "line 1: duplicate frequency unit"),
+    (lambda: parse_touchstone("# Hz S RI R\n1 0 0\n"), TouchstoneParseError,
+     "line 1: R token without impedance value"),
+    (lambda: parse_touchstone("# Hz S RI R fifty\n1 0 0\n"), TouchstoneParseError,
+     "line 1: bad reference impedance 'fifty'"),
+    (lambda: serialize_touchstone(thru_switch(), "XY"), ValueError,
+     "unknown format 'XY' (use RI, MA or DB)"),
+    (lambda: serialize_touchstone(thru_switch(), "RI", "THz"), ValueError,
+     "unknown frequency unit 'THz'"),
+    (lambda: ReflectionProfile((0, 0), GRID, np.ones((2, GRID.size))), InputDataError,
+     "duplicate state labels"),
+    (lambda: ReflectionProfile((1, 0), GRID, np.ones((2, GRID.size))), InputDataError,
+     "states must be sorted ascending"),
+    (lambda: ReflectionProfile((0, 1), GRID, np.ones((2, GRID.size - 1))), InputDataError,
+     "gamma grid must be states x frequencies"),
+    (lambda: ReflectionProfile((0, 1), [], np.ones((2, 0))), InputDataError,
+     "need at least one frequency point"),
+    (lambda: Sweep(uniform_grid_with(3.6e9), np.ones(7)), SweepGridError,
+     "values and frequencies must have the same length"),
+    (lambda: stub_reflection(1e-3, "grounded", 3.6e9, LINE), ValueError,
+     "termination must be one of ('open', 'short')"),
+    (lambda: stub_reflection(-1e-3, "open", 3.6e9, LINE), ValueError,
+     "stub length must be >= 0"),
+    (lambda: circular_gaps([0.0, np.nan]), ValueError, "phases must be finite"),
+    (lambda: TwoPortPoint(3.6e9, complex(np.nan, 0.0), 0j, 1 + 0j, 0j), ValueError,
+     "s11 must be finite"),
+    (lambda: ArrayLayout(1, 1, 1, pitch_x=0.0), ValueError, "pitch must be > 0"),
+    (lambda: array_factor(ArrayLayout(1, 1, 1), np.full((4, 4), 2), [1, -1], 3.6e9, 0.0),
+     ValueError, "state map indices out of range"),
+    (lambda: StubNetworkDesign.from_json("[]"), InputDataError,
+     "design JSON: 'document' must be an object"),
+    (lambda: StubNetworkDesign.from_json(design_json("[1]")), InputDataError,
+     "design JSON: 'states[0]' must be an object"),
+], ids=["state_csv_no_rows", "touchstone_no_records", "option_duplicate_unit",
+        "option_r_without_value", "option_bad_r", "serialize_format", "serialize_unit",
+        "profile_duplicate_labels", "profile_unsorted_labels", "profile_gamma_shape",
+        "profile_empty_grid", "sweep_length_mismatch", "stub_termination", "stub_negative_length",
+        "circular_gaps_nan", "two_port_point_nan", "layout_pitch", "state_map_range",
+        "design_json_document", "design_json_state"])
+def test_each_rule_raises_its_class_and_message(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error
+    assert str(exc.value) == message

@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -314,3 +315,21 @@ def test_stub_model_names_what_overflows():
 def test_synthesis_rejects_a_band_too_wide_to_weight(band):
     with pytest.raises(ValueError, match="too wide to weight"):
         synthesize_stub_lengths(None, lossless_line(), 3.6e9, band)
+
+
+def test_a_design_is_the_8_state_bank():
+    states = ideal_sp8t_design(lossless_line(), F_CENTER).states
+    for bad in (states[:4], states[1:] + states[:1]):  # four states; eight out of order
+        with pytest.raises(ValueError, match="8-state design needs states 0..7 in order"):
+            StubNetworkDesign(states=bad, line=lossless_line())
+
+
+def test_design_json_fields_left_out_take_their_dataclass_defaults():
+    doc = json.loads(ideal_sp8t_design(lossless_line(), F_CENTER).to_json())
+    for node in (doc["line"], *doc["states"]):
+        node.pop("loss_db_per_m", None)
+        node.pop("reference_frequency_hz", None)
+        node.pop("residual_deg", None)
+    back = StubNetworkDesign.from_json(json.dumps(doc))
+    assert back.line == lossless_line()
+    assert all(st.residual_deg is None for st in back.states)

@@ -325,3 +325,17 @@ def test_valid_files_take_the_fast_path(monkeypatch):
     load_state_csv("freq_hz , state,mag_db,phase_deg\n\n# c\n3e9, +1 ,0,0\n3e9,0,-1,1\n")
     sweep = gating.synth_multipath([(1e-9, 1.0)], freqs)
     gating.load_sweep_csv(gating.dump_sweep_csv(sweep, comments=("c",)))
+
+
+@pytest.mark.parametrize("n_ports", [0, 3])
+def test_a_network_has_1_or_2_ports(n_ports):
+    with pytest.raises(InputDataError, match=f"n_ports must be 1 or 2, got {n_ports}"):
+        PortNetwork(n_ports, 50.0, [1e9], np.zeros((1, n_ports, n_ports), complex))
+
+
+def test_db_magnitudes_decode_like_the_scalar_power():
+    db = np.random.default_rng(5).uniform(-60.0, 20.0, 2000).tolist()
+    text = "# Hz S DB R 50\n" + "".join(f"{k + 1} {v!r} 0\n" for k, v in enumerate(db))
+    s = parse_touchstone(text).s[:, 0, 0]
+    assert s.real.tobytes() == np.array([10.0 ** (v / 20.0) for v in db]).tobytes()
+    assert not s.imag.any()

@@ -50,6 +50,7 @@ CASES = {
     "parse-s1p-json": ["parse", "in/dut.s1p", "--format", "json"],
     "parse-states-text": ["parse", "in/p3_401.csv"],
     "parse-states-json": ["parse", "in/p3_401.csv", "--format", "json"],
+    "parse-bom-states": ["parse", "in/bom_p100.csv"],
     "parse-dc-point": ["parse", "in/dc.s1p"],
     "parse-negative-s1p": ["parse", "in/negative.s1p"],
     "parse-negative-states": ["parse", "in/negative_states.csv"],
@@ -91,6 +92,8 @@ CASES = {
                      "--state-map-out", "map.txt"],
     "pattern-json": ["pattern", "in/p3_1601.csv", *STEER, "--format", "json",
                      "--out", "pattern.csv", "--state-map-out", "map.json"],
+    "pattern-upper-json-map": ["pattern", "in/p3_401.csv", *STEER, "--out", "pattern.csv",
+                               "--state-map-out", "MAP.JSON"],
     "pattern-1bit": ["pattern", "in/p1_401.csv", "--tiles-x", "2", "--tiles-y", "3",
                      "--out", "pattern.csv"],
     "pattern-stamp": ["pattern", "in/p3_401.csv", "--stamp", "--out", "pattern.csv"],
@@ -114,6 +117,7 @@ CASES = {
     "pattern-1bit-8-states": ["pattern", "in/p3_401.csv", "--bits", "1"],
     "pattern-3bit-2-states": ["pattern", "in/p1_401.csv", "--bits", "3"],
     "profile-1-port-cell": ["profile", "in/cell.s1p", "--loads", "ideal-1bit"],
+    "profile-1-port-loads": ["profile", "in/uc401.s2p", "--loads", "in/cell.s1p"],
 }
 
 
@@ -141,6 +145,7 @@ def fill(in_dir: Path) -> None:
     files["p100.csv"] = "freq_hz,state,mag_db,phase_deg\n" + "".join(
         f"{fk:.12g},{s},0,{100 * s}\n" for s in range(2) for fk in f[::40]
     )
+    files["bom_p100.csv"] = "\ufeff" + files["p100.csv"]
     for n in (1, 4, 16):
         files[f"states{n}.csv"] = "freq_hz,state,mag_db,phase_deg\n" + "".join(
             f"{fk:.12g},{s},0,{360 * s / n:g}\n" for s in range(n) for fk in f[::40]
