@@ -40,7 +40,7 @@ MAX_BAND_POINTS = 10_001
 
 def _read_text(path: str) -> str:
     """The UTF-8 text of ``path``, read the same with or without a leading byte-order mark."""
-    return Path(path).read_text(encoding="utf-8-sig")
+    return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")  # errors count from byte 0
 
 
 def _write_file(path: str, text: str) -> None:
@@ -470,6 +470,10 @@ def main(argv=None) -> int:
         f_center = getattr(args, "f_center_hz", DEFAULT_F_CENTER)
         if not math.isfinite(f_center):
             raise ValueError(f"--f-center-hz must be finite, got {f_center}")
+        for flag in ("--band-low-hz", "--band-high-hz"):
+            value = getattr(args, flag[2:].replace("-", "_"), None)
+            if value is not None and math.isnan(value):
+                raise ValueError(f"{flag} must be a number, got {value}")
         return args.func(args)
     except (NumericalError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

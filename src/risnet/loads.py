@@ -35,8 +35,8 @@ _SIGN = {"open": 1.0, "short": -1.0}
 # Eight-state target reflection phases, degrees.
 SP8T_TARGETS_DEG = tuple(45.0 * i for i in range(8))
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _COARSE_POINTS = 64
+_ZOOM_POINTS = 8  # intervals per rescan of a bracket
 
 # The design JSON type of a number field.
 _NUMBER = (int, float)
@@ -235,7 +235,7 @@ def stub_reflection(length, termination: str, f, line: MicrostripLine):
         if line.loss_db_per_m:
             ratio = f / line.reference_frequency
             alpha_db = line.loss_db_per_m * np.sqrt(ratio)
-            mag = 10.0 ** (-2.0 * alpha_db * length / 20.0)
+            mag = np.float_power(10.0, -2.0 * alpha_db * length / 20.0)
         out = sign * mag * np.exp(-2j * beta * length)
     if not np.isfinite(out).all():  # the phase grows with f, so it overflows at the top
         if not np.isfinite(ratio).all():
@@ -319,9 +319,10 @@ def synthesize_stub_lengths(
     and target phases on the band grid (``n_band_points`` >= 2 uniform points,
     or the single point for a degenerate band) over [0, lambda_g/2). The
     objective is periodic in length, so a 64-point scan brackets each minimum
-    first; golden-section searches then refine all eight brackets in lockstep,
-    one objective call on (8, n) lengths per step, until each is narrower than
-    lambda_g/2 * 1e-9. A state's result does not depend on the others.
+    first. Each bracket is then rescanned at 9 evenly spaced lengths, keeping
+    the two neighbours of the best one, until all are narrower than
+    lambda_g/2 * 1e-9; one objective call serves all eight states per scan,
+    and a bracket that is narrow enough keeps narrowing until all are.
 
     Each state's ``residual_deg`` is the phase error of the design's own
     :func:`sp8t_load_profile` at ``f_center``; for an ideal switch and
@@ -355,6 +356,7 @@ def synthesize_stub_lengths(
     terms = [_lossless_solution_deg(target)[0] for target in SP8T_TARGETS_DEG]
     signs = np.array([_SIGN[term] for term in terms])
     targets = np.array(SP8T_TARGETS_DEG)
+    rows = np.arange(8)
 
     def objective(lengths) -> np.ndarray:
         """Weighted mean-square wrapped phase error (states x lengths) on the band grid."""
@@ -364,25 +366,17 @@ def synthesize_stub_lengths(
         return np.sum(w * _wrap180(np.angle(g, deg=True) - targets[:, None, None]) ** 2, axis=2)
 
     period = guided_wavelength(line, f_center) / 2.0
-    tol = period * 1e-9
     coarse = np.linspace(0.0, period, _COARSE_POINTS, endpoint=False)
-    # Golden-section search on (8,) brackets. Each step shrinks every live
-    # bracket by the golden ratio, so the period*1e-9 tolerance is reached in
-    # about 36 steps; a converged state keeps its bracket while others go on.
+    # The coarse scan brackets each minimum by the neighbours of its best
+    # point. A rescan keeps two of its 8 intervals, a quarter of the bracket
+    # (an eighth at an end), so period*1e-9 is reached in at most 13 rescans.
     k = np.argmin(objective(coarse[None, :]), axis=1)
     edges = np.append(coarse, period)  # coarse[0] is 0.0, the lowest bound
     a, b = edges[np.maximum(k - 1, 0)], edges[k + 1]
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = objective(np.stack([c, d], axis=1)).T
-    while (live := b - a > tol).any():
-        left = fc < fd  # the minimum lies in [a, d], else in [c, b]
-        a2, b2 = np.where(left, a, c), np.where(left, d, b)
-        x = np.where(left, b2 - _INV_PHI * (b2 - a2), a2 + _INV_PHI * (b2 - a2))
-        fx = objective(x[:, None])[:, 0]
-        step = (a2, b2, np.where(left, x, d), np.where(left, c, x),
-                np.where(left, fx, fd), np.where(left, fc, fx))
-        a, b, c, d, fc, fd = np.where(live, step, (a, b, c, d, fc, fd))
+    while (b - a > period * 1e-9).any():
+        x = np.linspace(a, b, _ZOOM_POINTS + 1, axis=1)
+        k = np.argmin(objective(x), axis=1)
+        a, b = x[rows, np.maximum(k - 1, 0)], x[rows, np.minimum(k + 1, _ZOOM_POINTS)]
     lengths = ((a + b) / 2.0).tolist()
     design = StubNetworkDesign(tuple(map(StubState, range(8), terms, lengths)), line, switch)
     g = sp8t_load_profile(design, [f_center]).gamma[:, 0]

@@ -637,6 +637,18 @@ def test_non_finite_f_center_exits_2(tmp_path, capsys, sub, value):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag", ["--band-low-hz", "--band-high-hz"])
+@pytest.mark.parametrize("sub", ["profile", "synth"])
+def test_a_nan_band_flag_exits_2(tmp_path, capsys, sub, flag):
+    s2p = write_thru_s2p(tmp_path / "thru.s2p")
+    argv = {
+        "profile": ["profile", s2p, "--loads", "ideal-1bit"],
+        "synth": ["synth", "--line-width-m", "1.5e-3"],
+    }[sub]
+    assert cli.main([*argv, f"{flag}=nan"]) == 2
+    assert capsys.readouterr().err == f"error: {flag} must be a number, got nan\n"
+
+
 def test_pattern_cut_behind_the_surface_reads_the_floor(tmp_path, capsys):
     csv_path = write_ideal_3bit_profile(tmp_path / "p.csv", np.linspace(3.3e9, 3.8e9, 5))
     out = tmp_path / "pattern.csv"
@@ -1199,6 +1211,12 @@ def test_a_byte_order_mark_is_read_like_none(tmp_path, monkeypatch, capsys, kind
         runs.append((cli.main(argv), capsys.readouterr()))
     assert runs[0][0] == 0
     assert runs[1] == runs[0]
+
+
+def test_a_decode_error_after_a_byte_order_mark_counts_from_the_file_start(tmp_path, capsys):
+    (tmp_path / "bom.s1p").write_bytes(b"\xef\xbb\xbfab\x80")
+    assert cli.main(["parse", str(tmp_path / "bom.s1p")]) == 3
+    assert "byte 0x80 in position 5" in capsys.readouterr().err
 
 
 def test_state_map_json_suffix_is_matched_without_case(tmp_path, capsys):

@@ -1,10 +1,13 @@
+import cmath
 import json
+import math
 import re
 
 import numpy as np
 import pytest
 from scipy.constants import c as C0
 
+from risnet import loads
 from risnet.errors import FrequencyRangeError, InputDataError, SingularityError
 from risnet.loads import (
     MicrostripLine,
@@ -99,6 +102,20 @@ def test_stub_loss_scales_with_sqrt_frequency():
     np.testing.assert_allclose(
         abs(g_double), 10 ** (-2 * 10.0 * np.sqrt(2) * length / 20), rtol=1e-12
     )
+
+
+def test_lossy_stub_array_equals_the_scalar_formula_bit_for_bit():
+    line = MicrostripLine(1.5e-3, 0.8e-3, 4.9, loss_db_per_m=7.3, reference_frequency=3.5e9)
+    rng = np.random.default_rng(3)
+    lengths = rng.uniform(0.0, 0.05, (100, 1))
+    freqs = rng.uniform(3.0e9, 4.2e9, 200)
+    got = stub_reflection(lengths, "open", freqs, line)
+    root_eeff = math.sqrt(microstrip_eeff(line))
+    want = np.array([[
+        10.0 ** (-2.0 * (line.loss_db_per_m * math.sqrt(f / line.reference_frequency)) * l / 20.0)
+        * cmath.exp(-2j * (2.0 * math.pi * f * root_eeff / C0) * l)
+        for f in freqs.tolist()] for l in lengths[:, 0].tolist()])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_spdt_ideal_switch():
@@ -241,6 +258,21 @@ def test_synthesis_with_lossy_switch():
     err = (phases - np.arange(8) * 45.0 + 180.0) % 360.0 - 180.0
     # a mildly mismatched switch still lands close to the ladder at center
     assert np.max(np.abs(err)) < 10.0
+
+
+def test_synthesis_makes_at_most_15_stub_calls(monkeypatch):
+    """The coarse scan, 13 rescans and the residuals each make one call for all states."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return stub_reflection(*args)
+
+    monkeypatch.setattr(loads, "stub_reflection", counted)
+    freqs = np.linspace(3.0e9, 4.0e9, 11)
+    switch = thru_switch(freqs, s21=10 ** (-0.5 / 20), s11=0.05, s22=0.1j)
+    synthesize_stub_lengths(switch, lossless_line(), F_CENTER, (3.3e9, 3.8e9))
+    assert 0 < len(calls) <= 15
 
 
 def test_synthesis_band_must_contain_center():

@@ -64,6 +64,7 @@ CASES = {
                      "--out", "design.json"],
     "synth-band-points": ["synth", *LINE, "--band-low-hz", "3.4e9", "--band-high-hz", "3.8e9",
                           "--n-band-points", "5"],
+    "synth-single-frequency": ["synth", *LINE, "--band-low-hz", "3.6e9", "--band-high-hz", "3.6e9"],
     "synth-no-width": ["synth"],
     "profile-ideal-1bit": ["profile", "in/uc401.s2p", "--loads", "ideal-1bit", "--out", "p1.csv"],
     "profile-ideal-3bit": ["profile", "in/uc401.s2p", "--loads", "ideal-3bit", *LINE],
