@@ -37,6 +37,10 @@ MAX_TILES = 64
 MAX_THETA_POINTS = 20_001
 MAX_BAND_POINTS = 10_001
 
+# A passive surface reflects at most what falls on it: a profile |gamma| above
+# 1 + this is flagged as nonphysical (and a 0 dB profile is not).
+GAIN_TOLERANCE = 1e-6
+
 
 def _read_text(path: str) -> str:
     """The UTF-8 text of ``path``, read the same with or without a leading byte-order mark."""
@@ -111,6 +115,24 @@ def _render(pairs, fmt: str) -> str:
     return "".join(_text_lines(pairs))
 
 
+def _warn_if_active(profile: touchstone.ReflectionProfile) -> None:
+    """Write one ``warning:`` line on stderr if a |gamma| exceeds 1 + GAIN_TOLERANCE.
+
+    The line names the largest |gamma|, its state and frequency, and how many
+    entries are above the limit. A command calls it once its outputs are
+    written, so a command that fails prints only its ``error:`` line.
+    """
+    mag = np.abs(profile.gamma)
+    above = int(np.count_nonzero(mag > 1.0 + GAIN_TOLERANCE))
+    if above:
+        i, k = np.unravel_index(np.argmax(mag), mag.shape)
+        sys.stderr.write(
+            f"warning: nonphysical profile: |gamma| {_fmt(float(mag[i, k]))} > 1 at state "
+            f"{profile.states[i]}, {_fmt(float(profile.frequencies[k]))} Hz "
+            f"({above} of {mag.size} entries above 1 + {GAIN_TOLERANCE:g})\n"
+        )
+
+
 def _line_from_args(args, f_center: float, needed_by: str) -> loads.MicrostripLine:
     if args.line_width_m is None:
         raise ValueError(f"{needed_by} requires --line-width-m (no published default)")
@@ -140,7 +162,7 @@ def cmd_parse(args) -> int:
             ("f_max_hz", float(profile.frequencies[-1])),
         ]
     else:
-        net = touchstone.parse_touchstone(text)
+        profile, net = None, touchstone.parse_touchstone(text)
         pairs = [
             ("type", "touchstone"),
             ("n_ports", net.n_ports),
@@ -150,6 +172,8 @@ def cmd_parse(args) -> int:
             ("reference_impedance_ohm", net.reference_impedance),
         ]
     _write_output(_render(pairs, args.format), args.out)
+    if profile is not None:
+        _warn_if_active(profile)
     return 0
 
 
@@ -192,6 +216,7 @@ def cmd_profile(args) -> int:
         f"surface reflection profile, loads={Path(args.loads).name}",
     )
     _write_output(touchstone.dump_state_csv(profile, comments=comments), args.out)
+    _warn_if_active(profile)
     return 0
 
 
@@ -228,15 +253,16 @@ def cmd_bandwidth(args) -> int:
     report = metrics.bandwidth(profile, bits, args.f_center_hz)
     if args.format == "csv":
         _write_output(report.to_csv(comments=_stamp_comments(args)), args.out)
-        return 0
-    pairs = [
-        *report.to_json_dict().items(),
-        ("resolution_bits", bits),
-        ("f_center_hz", args.f_center_hz),
-        ("virtual_2bit", bool(args.virtual_2bit)),
-        *_stamp_pairs(args),
-    ]
-    _write_output(_render(pairs, args.format), args.out)
+    else:
+        pairs = [
+            *report.to_json_dict().items(),
+            ("resolution_bits", bits),
+            ("f_center_hz", args.f_center_hz),
+            ("virtual_2bit", bool(args.virtual_2bit)),
+            *_stamp_pairs(args),
+        ]
+        _write_output(_render(pairs, args.format), args.out)
+    _warn_if_active(profile)
     return 0
 
 
@@ -309,6 +335,7 @@ def cmd_pattern(args) -> int:
     _write_output(pattern_csv, args.out)
     # stdout carries only the CSV when it goes there; the summary then goes to stderr.
     (sys.stderr if args.out is None else sys.stdout).write(_render(summary, args.format))
+    _warn_if_active(profile)
     return 0
 
 

@@ -17,11 +17,10 @@ import numpy as np
 from .errors import GateSpanError, ReferenceLevelError, SweepGridError
 from .touchstone import (
     PortNetwork,
-    _csv_rows,
-    _csv_table,
     _csv_text,
     _format_rows,
     _frequency_grid,
+    _read_csv,
     _reject_rows,
     _require_ports,
 )
@@ -218,15 +217,9 @@ def load_sweep_csv(text: str) -> Sweep:
 
     Row faults name their line, and are looked for before those of the whole sweep.
     """
-    try:  # fast path; a file it refuses is read again below, to name the line at fault
-        return _sweep(_csv_table(text, _SWEEP_ROW), None)
-    except ValueError:
-        pass
-    return _sweep(*_csv_rows(text, _SWEEP_ROW, SweepGridError))
-
-
-def _sweep(rows: np.ndarray, line_nos) -> Sweep:
-    """The sweep that sweep CSV ``rows`` (of ``_SWEEP_ROW``) give."""
+    rows, _, line_nos, fault = _read_csv(text, _SWEEP_ROW, SweepGridError)
+    if fault is not None:
+        raise fault
     f_hz, re, im = rows["freq_hz"], rows["re"], rows["im"]
     if f_hz.size:  # an empty sweep is Sweep's to report
         _frequency_grid(f_hz, SweepGridError, line_nos)

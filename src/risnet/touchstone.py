@@ -8,12 +8,13 @@ files are rejected. The state CSV format (header
 per-switching-state reflection coefficients on a complete state-by-frequency
 grid.
 
-Each reader passes over the lines once for structure (blank and comment
-lines, the header or option line, inline comments), parses the kept rows with
-one ``np.loadtxt`` call and checks the table. On any ``ValueError`` there, it
-reads the whole text again with a plain per-line loop, which accepts exactly
-what ``float()`` and ``int()`` accept and names the first faulty line. Writers
-format all rows of a table with one ``%`` operation (:func:`_format_rows`).
+Each reader passes over the text once (:func:`_data_lines`), keeping the lines
+that are neither blank nor comments and their line numbers. It parses the rows
+with one ``np.loadtxt`` call; only where loadtxt refuses them does a per-line
+cast run over the kept lines, which accepts exactly what ``float()`` and
+``int()`` accept and stops at the first faulty line. Every row and table rule
+then runs once, vectorized, and names its line. Writers format all rows of a
+table with one ``%`` operation (:func:`_format_rows`).
 """
 
 from __future__ import annotations
@@ -148,16 +149,11 @@ def _frequency_grid(freqs, error=InputDataError, line_nos=None) -> np.ndarray:
     return f
 
 
-def _line_at(line_nos, k):
-    """Line number of row ``k``; None on a reader's fast path, which keeps none."""
-    return None if line_nos is None else int(line_nos[k])
-
-
 def _reject_rows(bad, error, message: str, line_nos=None) -> None:
     """Raise ``error(message, line_nos[row])`` at the first row (axis 0) flagged in ``bad``."""
     rows = np.any(bad, axis=tuple(range(1, np.ndim(bad))))
     if np.any(rows):
-        raise error(message, _line_at(line_nos, np.argmax(rows)))
+        raise error(message, None if line_nos is None else line_nos[np.argmax(rows)])
 
 
 def _require_in_sweep(sweep_f: np.ndarray, f) -> None:
@@ -233,44 +229,44 @@ def _pairs_to_complex(a: np.ndarray, b: np.ndarray, fmt: str) -> np.ndarray:
     return np.float_power(10.0, a / 20.0) * np.exp(1j * np.deg2rad(b))
 
 
-def _touchstone_row(line_no: int, tokens: list) -> list:
+def _data_lines(text: str, comment: str) -> tuple:
+    """The stripped lines of ``text`` that are not blank or ``comment`` lines, and their numbers.
+
+    The numbers are a ``range`` when no skipped line sits after the first kept
+    one, and a list only when one does.
+    """
+    lines = list(map(str.strip, text.splitlines()))
+    kept = [s for s in lines if s and s[0] != comment]
+    first = lines.index(kept[0]) if kept else 0  # an earlier equal line would be kept too
+    if first + len(kept) == len(lines):
+        return kept, range(first + 1, first + 1 + len(kept))
+    return kept, [n for n, s in enumerate(lines, start=1) if s and s[0] != comment]
+
+
+def _v2_keyword(line: str, line_no: int) -> TouchstoneParseError:
+    return TouchstoneParseError(
+        f"Touchstone v2 keyword '{line.split()[0]}' not supported (this reader accepts v1 only)",
+        line_no,
+    )
+
+
+def _touchstone_row(line_no: int, line: str) -> list:
+    """The values of a line after the option line.
+
+    A v2 keyword, a second option line or a token that ``float()`` refuses
+    raises at the line.
+    """
+    if line[0] == "[":
+        raise _v2_keyword(line, line_no)
+    if line[0] == "#":
+        raise TouchstoneParseError("duplicate option line", line_no)
     values = []
-    for tok in tokens:
+    for tok in line.split("!", 1)[0].split():
         try:
             values.append(float(tok))
         except ValueError:
             raise TouchstoneParseError(f"non-numeric token '{tok}'", line_no) from None
     return values
-
-
-def _touchstone_records(text: str, option: list):
-    """Yield ``(line_no, data)`` for each record line of Touchstone text.
-
-    Blank and ``!`` comment lines are skipped and inline ``!`` comments cut;
-    the parsed option line is appended to ``option``. A v2 keyword, a second
-    option line or data before the option line raises at its line, after the
-    records before it have been yielded.
-    """
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("!"):
-            continue
-        if line.startswith("["):
-            raise TouchstoneParseError(
-                f"Touchstone v2 keyword '{line.split()[0]}' not supported "
-                "(this reader accepts v1 only)",
-                line_no,
-            )
-        if line.startswith("#"):
-            if option:
-                raise TouchstoneParseError("duplicate option line", line_no)
-            option.append(_parse_option_line(line, line_no))
-            continue
-        if "!" in line:  # the line starts with data, so some is left
-            line = line.split("!", 1)[0].strip()
-        if not option:
-            raise TouchstoneParseError("data before option line", line_no)
-        yield line_no, line
 
 
 def parse_touchstone(text: str) -> PortNetwork:
@@ -284,37 +280,35 @@ def parse_touchstone(text: str) -> PortNetwork:
     block, which runs to the end of the file with 5 values per record and is
     skipped. All errors carry the offending line number.
     """
-    option = []
-    try:  # fast path; a file it refuses, noise block included, is read again below
-        rows = [line for _, line in _touchstone_records(text, option)]
-        if rows:
-            table = np.loadtxt(rows, comments=None, ndmin=2)
-            return _network(option, table.ravel(), np.full(len(table), table.shape[1]), None)
-    except ValueError:
-        pass
-    option, values, counts, line_nos = [], [], [], []
-    for line_no, line in _touchstone_records(text, option):
-        row = _touchstone_row(line_no, line.split())
-        values += row
-        counts.append(len(row))
-        line_nos.append(line_no)
-    return _network(option, np.array(values), np.array(counts, dtype=np.int64), line_nos)
-
-
-def _network(option: list, values: np.ndarray, counts: np.ndarray, line_nos) -> PortNetwork:
-    """The network of a Touchstone text whose records hold ``counts`` of ``values`` in turn."""
-    if not option:
+    lines, line_nos = _data_lines(text, "!")
+    if not lines:
         raise TouchstoneParseError("missing option line", 1)
-    if not counts.size:
+    if lines[0][0] == "[":
+        raise _v2_keyword(lines[0], line_nos[0])
+    if lines[0][0] != "#":
+        raise TouchstoneParseError("data before option line", line_nos[0])
+    option = _parse_option_line(lines[0], line_nos[0])
+    rows, line_nos = lines[1:], line_nos[1:]
+    if not rows:
         raise TouchstoneParseError("no data records", 1)
+    try:
+        table = np.loadtxt(rows, comments="!", ndmin=2)
+        values, counts = table.ravel(), np.full(len(table), table.shape[1])
+    except ValueError:  # a ragged table (a noise block) or a spelling only float() reads
+        records = [_touchstone_row(n, line) for n, line in zip(line_nos, rows)]
+        values = np.array([v for record in records for v in record])
+        counts = np.array([len(record) for record in records], dtype=np.int64)
+    return _network(option, values, counts, line_nos)
 
-    unit, fmt, z0 = option[0]
+
+def _network(option: tuple, values: np.ndarray, counts: np.ndarray, line_nos) -> PortNetwork:
+    """The network of a Touchstone text whose records hold ``counts`` of ``values`` in turn."""
+    unit, fmt, z0 = option
     n_values = int(counts[0])
     n_ports = {3: 1, 9: 2}.get(n_values)
     if n_ports is None:
         raise TouchstoneParseError(
-            f"expected 3 (1-port) or 9 (2-port) values per record, got {n_values}",
-            _line_at(line_nos, 0),
+            f"expected 3 (1-port) or 9 (2-port) values per record, got {n_values}", line_nos[0]
         )
 
     with np.errstate(over="ignore"):  # a frequency that overflows is rejected by line below
@@ -326,13 +320,13 @@ def _network(option: list, values: np.ndarray, counts: np.ndarray, line_nos) -> 
         k = n_points
         if not (n_ports == 2 and counts[k] == 5 and f_hz[k] <= f_hz[k - 1]):
             raise TouchstoneParseError(
-                f"expected {n_values} values per record, got {counts[k]}", _line_at(line_nos, k)
+                f"expected {n_values} values per record, got {counts[k]}", line_nos[k]
             )
         bad = np.flatnonzero(counts[k:] != 5)
         if bad.size:
             raise TouchstoneParseError(
                 f"expected 5 values per noise-parameter record, got {counts[k + bad[0]]}",
-                _line_at(line_nos, k + bad[0]),
+                line_nos[k + bad[0]],
             )
 
     raw = values[:n_points * n_values].reshape(n_points, n_values)[:, 1:]
@@ -407,56 +401,58 @@ def serialize_touchstone(net: PortNetwork, format: str = "RI", freq_unit: str = 
     return head + _format_rows("%.12g" + " %.12g %.12g" * len(entries.T) + "\n", *columns)
 
 
-def _csv_table(text: str, dtype: np.dtype) -> np.ndarray:
-    """The data rows of a headed CSV text, parsed by one ``np.loadtxt`` call.
-
-    Raises ValueError on every text that :func:`_csv_rows` refuses before its
-    ``check``, and on some that it accepts (``1_000``, non-ASCII digits).
-    """
-    lines = [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
-    if len(lines) < 2 or [f.strip() for f in lines[0].split(",")] != list(dtype.names):
-        raise ValueError("header or data rows missing")
-    return np.loadtxt(lines[1:], dtype=dtype, delimiter=",", comments=None, ndmin=1)
-
-
-def _csv_rows(text: str, dtype: np.dtype, error, check=None) -> tuple:
-    """The data rows of a headed CSV text, read line by line, and their line numbers.
+def _read_csv(text: str, dtype: np.dtype, error) -> tuple:
+    """``(rows, lines, line_nos, fault)`` of a headed CSV text, ``rows`` indexed by field name.
 
     Blank and ``#`` comment lines are skipped. The first other line must be
-    the header, the field names of ``dtype`` (compared after stripping). Each
-    later line must hold one comma-separated field per name, which ``int()``
-    or ``float()`` accepts as that ``dtype`` field is an integer or not;
-    ``check(line_no, fields, values)`` may refuse a row further. The first
-    faulty line raises ``error(message, line_no)``.
+    the header, the field names of ``dtype`` (compared after stripping). The
+    data ``lines`` are parsed by one ``np.loadtxt`` call; where it refuses
+    them, :func:`_csv_rows` casts them line by line. ``fault`` is the error of
+    the first line that no cast accepts, unraised, and ``rows`` holds the rows
+    before it; it is None when every line is read.
+    """
+    lines, line_nos = _data_lines(text, "#")
+    if not lines:
+        raise error("missing header line", 1)
+    names = list(dtype.names)
+    if [f.strip() for f in lines[0].split(",")] != names:
+        raise error(f"expected header '{','.join(names)}', got '{lines[0]}'", line_nos[0])
+    lines, line_nos = lines[1:], line_nos[1:]
+    if not lines:  # loadtxt would warn
+        return np.zeros(0, dtype), lines, line_nos, None
+    try:
+        rows, fault = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1), None
+    except ValueError:  # a spelling only float() or int() reads, or a faulty line
+        rows, fault = _csv_rows(lines, line_nos, dtype, error)
+    return rows, lines, line_nos, fault
+
+
+def _csv_rows(lines: list, line_nos, dtype: np.dtype, error) -> tuple:
+    """``(rows, fault)`` of CSV data ``lines``, cast line by line up to the first faulty one.
+
+    Each line must hold one comma-separated field per name of ``dtype``, which
+    ``int()`` or ``float()`` accepts as that field is an integer or not. The
+    first line that does not gives ``fault = error(message, line_no)``.
+    ``rows`` maps each name to the column of the lines before it; an integer
+    column holds Python ints, so that a value past int64 reaches the row rules.
     """
     names = list(dtype.names)
     casts = [int if dtype[name].kind == "i" else float for name in names]
-    rows, line_nos, header_seen = [], [], False
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line[0] == "#":
-            continue
+    rows, fault = [], None
+    for line_no, line in zip(line_nos, lines):
         fields = [f.strip() for f in line.split(",")]
-        if not header_seen:
-            if fields != names:
-                raise error(f"expected header '{','.join(names)}', got '{line}'", line_no)
-            header_seen = True
-            continue
         if len(fields) != len(names):
-            raise error(
-                f"expected {len(names)} comma-separated fields, got {len(fields)}", line_no
-            )
+            fault = error(f"expected {len(names)} comma-separated fields, got {len(fields)}",
+                          line_no)
+            break
         try:
-            values = tuple(cast(f) for cast, f in zip(casts, fields))
+            rows.append([cast(f) for cast, f in zip(casts, fields)])
         except ValueError:
-            raise error(f"non-numeric field in '{','.join(fields)}'", line_no) from None
-        if check is not None:
-            check(line_no, fields, values)
-        rows.append(values)
-        line_nos.append(line_no)
-    if not header_seen:
-        raise error("missing header line", 1)
-    return np.array(rows, dtype=dtype), line_nos
+            fault = error(f"non-numeric field in '{','.join(fields)}'", line_no)
+            break
+    columns = zip(*rows) if rows else [()] * len(names)
+    return {name: np.array(column, dtype=object if cast is int else float)
+            for name, cast, column in zip(names, casts, columns)}, fault
 
 
 def _csv_text(header: str, comments: tuple, body: str) -> str:
@@ -470,39 +466,30 @@ def _sorted_unique(x: np.ndarray) -> np.ndarray:
     return s[np.concatenate(([True], s[1:] != s[:-1]))]
 
 
-def _check_state_row(line_no: int, fields: list, values: tuple) -> None:
-    f_hz, state = values[:2]
-    if state < 0:
-        raise StateCsvError(f"negative state index {state}", line_no)
-    if state >= _MAX_STATE:
-        raise StateCsvError(f"state index {state} out of range", line_no)
-    if not math.isfinite(f_hz):
-        raise StateCsvError(f"non-finite frequency {fields[0]}", line_no)
-
-
 def load_state_csv(text: str) -> ReflectionProfile:
     """Read a per-state reflection CSV into a :class:`ReflectionProfile`.
 
     Header must be ``freq_hz,state,mag_db,phase_deg``; ``#`` comment lines
     are ignored. Rows must cover the complete state-by-frequency grid with
     no duplicates. Gamma is reconstructed as 10^(mag_db/20) * exp(j*phase).
+    A row's own rules (its state index, then its frequency) are checked
+    before a later line's fault, and the table's rules after every line.
     """
-    try:  # fast path; a file it refuses is read again below, to name the line at fault
-        rows = _csv_table(text, _STATE_ROW)
-        state = rows["state"]
-        if np.isfinite(rows["freq_hz"]).all() and ((state >= 0) & (state < _MAX_STATE)).all():
-            return _state_profile(rows, None)
-    except ValueError:
-        pass
-    rows, line_nos = _csv_rows(text, _STATE_ROW, StateCsvError, _check_state_row)
-    if not line_nos:
-        raise StateCsvError("no data rows", 1)
-    return _state_profile(rows, line_nos)
-
-
-def _state_profile(rows: np.ndarray, line_nos) -> ReflectionProfile:
-    """The profile that state CSV ``rows`` (of ``_STATE_ROW``) give, checked as a grid."""
+    rows, lines, line_nos, fault = _read_csv(text, _STATE_ROW, StateCsvError)
     f_hz, state = rows["freq_hz"], rows["state"]
+    bad = (state < 0) | (state >= _MAX_STATE) | ~np.isfinite(f_hz)
+    if bad.any():
+        r = int(np.argmax(bad))
+        if state[r] < 0:
+            raise StateCsvError(f"negative state index {state[r]}", line_nos[r])
+        if state[r] >= _MAX_STATE:
+            raise StateCsvError(f"state index {state[r]} out of range", line_nos[r])
+        raise StateCsvError(f"non-finite frequency {lines[r].split(',')[0].strip()}", line_nos[r])
+    if fault is not None:
+        raise fault
+    if not f_hz.size:
+        raise StateCsvError("no data rows", 1)
+    state = state.astype(np.int64)  # every index is in range now
     _reject_rows(f_hz < 0, StateCsvError, "frequencies must be non-negative", line_nos)
     freqs = _sorted_unique(f_hz)
     states = _sorted_unique(state)
@@ -513,9 +500,7 @@ def _state_profile(rows: np.ndarray, line_nos) -> ReflectionProfile:
     repeats = order[1:][cell[order[1:]] == cell[order[:-1]]]
     if repeats.size:
         r = int(repeats.min())
-        raise StateCsvError(
-            f"duplicate row for state {int(state[r])} at {f_hz[r]} Hz", _line_at(line_nos, r)
-        )
+        raise StateCsvError(f"duplicate row for state {int(state[r])} at {f_hz[r]} Hz", line_nos[r])
     if cell.size != states.size * freqs.size:
         filled = np.zeros(states.size * freqs.size, dtype=bool)
         filled[cell] = True

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import stat
 from contextlib import redirect_stderr, redirect_stdout
@@ -344,6 +345,66 @@ def test_pattern_steered_peak_and_residual(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert abs(float(doc["peak_theta_deg"]) - 20.0) <= 0.5
     assert float(doc["max_residual_deg"]) <= 22.5
+
+
+def write_gain_profile(path, mag, hot_state=3, hot_freq=3.3e9):
+    """An 8-state 0 dB profile whose ``hot_state`` has |gamma| = ``mag`` at ``hot_freq``."""
+    lines = ["freq_hz,state,mag_db,phase_deg"]
+    for s in range(8):
+        for f in np.linspace(3.3e9, 3.8e9, 5):
+            db = 20.0 * math.log10(mag) if (s, f) == (hot_state, hot_freq) else 0.0
+            lines.append(f"{f:.12g},{s},{db!r},{45.0 * s}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+PROFILE_READERS = {
+    "parse": lambda csv, tmp: ["parse", csv],
+    "bandwidth": lambda csv, tmp: ["bandwidth", csv, "--format", "text"],
+    "pattern": lambda csv, tmp: ["pattern", csv, "--out", str(tmp / "pattern.csv")],
+}
+
+
+@pytest.mark.parametrize("command", PROFILE_READERS)
+def test_a_profile_with_gain_warns_once_and_runs_on(tmp_path, capsys, command):
+    passive = PROFILE_READERS[command](write_gain_profile(tmp_path / "p.csv", 1.0), tmp_path)
+    assert cli.main(passive) == 0
+    quiet = capsys.readouterr()
+    active = PROFILE_READERS[command](write_gain_profile(tmp_path / "a.csv", 5.0), tmp_path)
+    assert cli.main(active) == 0
+    loud = capsys.readouterr()
+    warnings = [line for line in loud.err.splitlines() if line.startswith("warning:")]
+    assert warnings == [
+        "warning: nonphysical profile: |gamma| 5 > 1 at state 3, 3300000000 Hz "
+        "(1 of 40 entries above 1 + 1e-06)"
+    ]
+    assert "warning" not in quiet.err
+    assert loud.err.replace(warnings[0] + "\n", "") == quiet.err
+    if command == "pattern":  # one gain entry off the steering frequency changes nothing
+        assert loud.out == quiet.out
+
+
+@pytest.mark.parametrize("excess, warns", [(0.5e-6, False), (2e-6, True)])
+def test_the_gain_warning_sits_at_its_tolerance(tmp_path, capsys, excess, warns):
+    csv_path = write_gain_profile(tmp_path / "p.csv", 1.0 + excess)
+    assert cli.main(["parse", csv_path]) == 0
+    assert capsys.readouterr().err.startswith("warning:") is warns
+
+
+def test_profile_warns_when_the_unit_cell_amplifies(tmp_path, capsys):
+    lines = ["# Hz S RI R 50"]  # S21 = S12 = 2: an ideal load comes back at |gamma| = 4
+    lines += [f"{f:.12g} 0 0 2 0 2 0 0 0" for f in np.linspace(3.0e9, 4.2e9, 13)]
+    s2p = tmp_path / "gain.s2p"
+    s2p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "profile.csv"
+    assert cli.main(["profile", str(s2p), "--loads", "ideal-1bit", "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning: nonphysical profile: |gamma| 4 > 1 at state ")
+    assert err.endswith("(26 of 26 entries above 1 + 1e-06)\n")
+    np.testing.assert_allclose(np.abs(load_state_csv(out.read_text()).gamma), 4.0)
+    assert cli.main(["profile", write_thru_s2p(tmp_path / "thru.s2p"), "--loads",
+                     "ideal-1bit"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_gate_all_pass_identity(tmp_path):

@@ -124,7 +124,7 @@ def test_synthesis_at_one_frequency_is_the_closed_form(design):
     got = synthesize_stub_lengths(None, line, f_center, (f_center, f_center)).states
     want = ideal_sp8t_design(line, f_center).states
     lam_g = guided_wavelength(line, f_center)
-    tol = lam_g / 2.0 * 1e-9  # the golden-section search tolerance
+    tol = lam_g / 2.0 * 1e-9  # the scan-and-narrow search tolerance, period * 1e-9
     assert [s.termination for s in got] == [s.termination for s in want]
     assert [s.termination for s in got].count("open") == 4
     for g, w in zip(got, want):

@@ -312,9 +312,8 @@ def test_valid_files_take_the_fast_path(monkeypatch):
     def per_line(*args):
         raise AssertionError("per-line loop reached")
 
-    for module, name in ((touchstone, "_csv_rows"), (gating, "_csv_rows"),
-                         (touchstone, "_touchstone_row")):
-        monkeypatch.setattr(module, name, per_line)
+    for name in ("_csv_rows", "_touchstone_row"):
+        monkeypatch.setattr(touchstone, name, per_line)
     freqs = np.linspace(3e9, 4e9, 9)
     net = make_two_port(freqs, np.exp(1j * np.arange(36)) * 0.5)
     for fmt in ("RI", "MA", "DB"):
@@ -325,6 +324,47 @@ def test_valid_files_take_the_fast_path(monkeypatch):
     load_state_csv("freq_hz , state,mag_db,phase_deg\n\n# c\n3e9, +1 ,0,0\n3e9,0,-1,1\n")
     sweep = gating.synth_multipath([(1e-9, 1.0)], freqs)
     gating.load_sweep_csv(gating.dump_sweep_csv(sweep, comments=("c",)))
+
+
+TABLE_FAULTS = {
+    "duplicate state row": (
+        load_state_csv, "# c\nfreq_hz,state,mag_db,phase_deg\n1e9,0,0,0\n2e9,0,0,0\n"
+        "1e9,1,0,0\n\n2e9,1,0,0\n# c\n1e9,0,-1,0\n", StateCsvError, 9,
+        "duplicate row for state 0 at 1000000000.0 Hz"),
+    "falling touchstone frequency": (
+        parse_touchstone, "! c\n# Hz S RI R 50\n1 0 0\n! c\n2 0 0 ! 2 Hz\n\n3 0 0\n2.5 0 0\n",
+        TouchstoneParseError, 8, "frequencies must be strictly increasing"),
+    "repeated sweep frequency": (
+        gating.load_sweep_csv, "freq_hz,re,im\n" + "".join(
+            f"{1e9 + 1e6 * k:.12g},0.5,0\n" for k in (0, 1, 2, 2, 3, 4, 5, 6, 7)),
+        gating.SweepGridError, 5, "frequencies must be strictly increasing"),
+}
+
+
+@pytest.mark.parametrize("case", TABLE_FAULTS)
+def test_a_table_fault_names_its_line_without_a_second_read(monkeypatch, case):
+    # loadtxt reads these files; the fault is the table's, and the line number
+    # comes from the one pass over the text, which skipped blanks and comments.
+    read, text, error, line, message = TABLE_FAULTS[case]
+    for name in ("_csv_rows", "_touchstone_row"):
+        monkeypatch.setattr(touchstone, name, None)  # calling it would raise TypeError
+    with pytest.raises(error) as exc:
+        read(text)
+    assert exc.value.line == line and str(exc.value) == f"line {line}: {message}"
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("3.1e9,0,0,0", "duplicate row for state 0 at 3100000000.0 Hz"),
+    ("x,0,0,0", "non-numeric field in 'x,0,0,0'"),
+    ("inf,0,0,0", "non-finite frequency inf"),
+])
+def test_a_comment_mid_table_shifts_the_lines_after_it(fault, message):
+    rows = [f"{3e9 + 1e5 * k:.12g},0,0,0" for k in range(3000)]
+    rows.insert(1200, "# calibration changed here")
+    rows[2400] = fault
+    with pytest.raises(StateCsvError) as exc:
+        load_state_csv("freq_hz,state,mag_db,phase_deg\n" + "\n".join(rows) + "\n")
+    assert str(exc.value) == f"line 2402: {message}"
 
 
 @pytest.mark.parametrize("n_ports", [0, 3])

@@ -7,22 +7,23 @@ Usage (from any directory):
 
 An empty or missing ``IN_DIR`` is filled once with the seed-5 benchmark
 fixtures of ``perfbench/fixtures.py`` (401- and 1601-point unit cells and
-switches, a synthesized stub design, state CSVs and gating sweeps) and a few
-malformed or unsupported files. A non-empty ``IN_DIR`` is read as it is, so two checkouts
-can be run on the same files. Each invocation runs as ``python -m risnet.cli``
-(the ``risnet`` on PYTHONPATH, by default this checkout's) in its own
-directory ``OUT_DIR/<case>``, on inputs under the relative path ``in/``.
-That directory then holds the invocation's ``argv``, ``stdout``, ``stderr``,
-``exit`` code and any file it wrote. ``--stamp`` timestamps are replaced by
-``<timestamp>``, so a rerun gives the same bytes. An invocation that writes a
-file (``--out`` or ``--state-map-out``) then runs a second time in the same
-directory, over its first outputs, as a user rerunning a command does; its
-output files, stdout, stderr and exit code must come out the same after
-masking. Compare two checkouts with ``diff -r OUT_A OUT_B``. PYTHONPATH
-entries are resolved against the directory the tool is started from. The
-tool exits 1 when any invocation exits with a code outside the CLI's 0/2/3/4
-contract (a traceback, or a ``risnet`` that could not be imported), or when a
-second run differs from its first.
+switches, a synthesized stub design, state CSVs and gating sweeps), an active
+(+14 dB) state CSV and a few malformed or unsupported files. A non-empty
+``IN_DIR`` is read as it is, so two checkouts can be run on the same files.
+Each invocation runs as ``python -m risnet.cli`` (the ``risnet`` on
+PYTHONPATH, by default this checkout's) in its own directory
+``OUT_DIR/<case>``, on inputs under the relative path ``in/``. That directory
+then holds the invocation's ``argv``, ``stdout``, ``stderr``, ``exit`` code
+and any file it wrote. ``--stamp`` timestamps are replaced by ``<timestamp>``,
+so a rerun gives the same bytes. An invocation that writes a file (``--out``
+or ``--state-map-out``) then runs a second time in the same directory, over
+its first outputs, as a user rerunning a command does; its output files,
+stdout, stderr and exit code must come out the same after masking. Compare two
+checkouts with ``diff -r OUT_A OUT_B``. PYTHONPATH entries are resolved
+against the directory the tool is started from. The tool exits 1 when any
+invocation exits with a code outside the CLI's 0/2/3/4 contract (a traceback,
+or a ``risnet`` that could not be imported), or when a second run differs from
+its first.
 """
 
 from __future__ import annotations
@@ -88,6 +89,7 @@ CASES = {
     "bandwidth-stamp-csv": ["bandwidth", "in/p3_401.csv", "--stamp", "--format", "csv"],
     "bandwidth-stamp-text": ["bandwidth", "in/p3_401.csv", "--stamp", "--format", "text"],
     "bandwidth-negative-states": ["bandwidth", "in/negative_states.csv"],
+    "bandwidth-active": ["bandwidth", "in/active.csv"],
     "pattern-stdout": ["pattern", "in/p3_401.csv"],
     "pattern-text": ["pattern", "in/p3_401.csv", *STEER, "--out", "pattern.csv",
                      "--state-map-out", "map.txt"],
@@ -147,6 +149,10 @@ def fill(in_dir: Path) -> None:
         f"{fk:.12g},{s},0,{100 * s}\n" for s in range(2) for fk in f[::40]
     )
     files["bom_p100.csv"] = "\ufeff" + files["p100.csv"]
+    # +14 dB (|gamma| = 5) on every state: the CLI warns and runs on.
+    files["active.csv"] = "freq_hz,state,mag_db,phase_deg\n" + "".join(
+        f"{fk:.12g},{s},14,{45 * s}\n" for s in range(8) for fk in f[::40]
+    )
     for n in (1, 4, 16):
         files[f"states{n}.csv"] = "freq_hz,state,mag_db,phase_deg\n" + "".join(
             f"{fk:.12g},{s},0,{360 * s / n:g}\n" for s in range(n) for fk in f[::40]
