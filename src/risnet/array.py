@@ -16,9 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputDataError
-
-# Speed of light in vacuum, m/s (exact SI value).
-C0 = 299_792_458.0
+from .touchstone import C0, _wrap180
 
 CELLS_PER_TILE_SIDE = 4
 DEFAULT_PITCH_X = 0.060
@@ -96,11 +94,6 @@ class ArrayLayout:
 def build_array(tiles_x: int, tiles_y: int, resolution_bits: int) -> ArrayLayout:
     """Construct a wall layout with the standard cell pitch."""
     return ArrayLayout(tiles_x=tiles_x, tiles_y=tiles_y, resolution_bits=resolution_bits)
-
-
-def _wrap180(deg):
-    """Phase differences (degrees) wrapped into [-180, 180)."""
-    return (np.asarray(deg) + 180.0) % 360.0 - 180.0
 
 
 def _states_and_wavenumber(gamma_states, f: float) -> tuple:

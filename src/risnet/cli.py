@@ -4,6 +4,9 @@ All subcommands are deterministic: the same inputs and flags produce
 byte-identical outputs. Timestamps only appear when --stamp is given.
 Exit codes: 0 success, 2 usage error, 3 input/parse error, 4 numerical
 failure.
+
+Every subcommand reads or writes through ``touchstone``; each imports the
+other modules it runs where it runs them, so a process loads only those.
 """
 
 from __future__ import annotations
@@ -19,8 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import array as arr
-from . import gating, loads, metrics, network, touchstone
+from . import touchstone
 from .errors import InputDataError, NumericalError
 from .touchstone import _csv_text, _fmt, _format_rows
 
@@ -37,8 +39,9 @@ MAX_TILES = 64
 MAX_THETA_POINTS = 20_001
 MAX_BAND_POINTS = 10_001
 
-# A passive surface reflects at most what falls on it: a profile |gamma| above
-# 1 + this is flagged as nonphysical (and a 0 dB profile is not).
+# A passive surface reflects at most what falls on it: a profile |gamma| or an
+# S-matrix's largest singular value above 1 + this is flagged as nonphysical
+# (and a 0 dB profile or a lossless network is not).
 GAIN_TOLERANCE = 1e-6
 
 
@@ -133,7 +136,48 @@ def _warn_if_active(profile: touchstone.ReflectionProfile) -> None:
         )
 
 
-def _line_from_args(args, f_center: float, needed_by: str) -> loads.MicrostripLine:
+def _sigma_max(s: np.ndarray) -> np.ndarray:
+    """The largest singular value of each 2x2 matrix of ``s`` (n_points, 2, 2).
+
+    In closed form, sigma_max^2 = (|S|_F^2 + sqrt(|S|_F^4 - 4 |det S|^2)) / 2.
+    With p and r the squared norms of the two columns and q their inner
+    product, |S|_F^2 = p + r and the root's argument is (p - r)^2 + 4 |q|^2, a
+    sum that does not cancel when the two singular values are close (a lossless
+    network has both at 1). It is computed on the matrix divided by its largest
+    real or imaginary part, so that no square overflows; a sigma_max past the
+    float range reads inf.
+    """
+    scale = np.max(np.maximum(np.abs(s.real), np.abs(s.imag)), axis=(1, 2))
+    d = np.where(scale > 0, scale, 1.0)[:, None, None]
+    u = s.real / d + 1j * (s.imag / d)  # a complex division by a subnormal d overflows
+    p, r = np.sum(u.real**2 + u.imag**2, axis=1).T
+    q = np.sum(np.conj(u[:, :, 0]) * u[:, :, 1], axis=1)
+    with np.errstate(over="ignore"):
+        return scale * np.sqrt((p + r + np.hypot(p - r, 2.0 * np.abs(q))) / 2.0)
+
+
+def _warn_if_not_passive(net: touchstone.PortNetwork, name: str) -> None:
+    """Write one ``warning:`` line on stderr if input ``name``'s 2-port S-data is not passive.
+
+    Not passive means sigma_max, the largest singular value of S, above
+    1 + GAIN_TOLERANCE at some frequency. The line names the input, the worst
+    frequency and its sigma_max, and how many points are above the limit. As
+    with :func:`_warn_if_active`, a command calls it once its outputs are written.
+    """
+    sigma = _sigma_max(net.s)
+    above = int(np.count_nonzero(sigma > 1.0 + GAIN_TOLERANCE))
+    if above:
+        k = int(np.argmax(sigma))
+        sys.stderr.write(
+            f"warning: nonphysical S-data in {name}: sigma_max {_fmt(float(sigma[k]))} > 1 at "
+            f"{_fmt(float(net.frequencies[k]))} Hz ({above} of {sigma.size} points above "
+            f"1 + {GAIN_TOLERANCE:g})\n"
+        )
+
+
+def _line_from_args(args, f_center: float, needed_by: str):
+    from . import loads
+
     if args.line_width_m is None:
         raise ValueError(f"{needed_by} requires --line-width-m (no published default)")
     return loads.MicrostripLine(
@@ -174,24 +218,30 @@ def cmd_parse(args) -> int:
     _write_output(_render(pairs, args.format), args.out)
     if profile is not None:
         _warn_if_active(profile)
+    elif net.n_ports == 2:
+        # A 1-port file may be a scene sweep (what gate reads), not component data.
+        _warn_if_not_passive(net, args.file)
     return 0
 
 
-def _load_profile_source(args, frequencies: np.ndarray, f_center: float):
+def _load_profile_source(args, frequencies: np.ndarray, f_center: float) -> tuple:
+    """(load profile of --loads, its switch network or None, the switch's name in a warning)."""
+    from . import loads
+
     src = args.loads
     if src == "ideal-1bit":
-        return loads.spdt_load_profile(None, frequencies)
+        return loads.spdt_load_profile(None, frequencies), None, src
     if src == "ideal-3bit":
         line = _line_from_args(args, f_center, "--loads ideal-3bit")
         design = loads.ideal_sp8t_design(line, f_center)
-        return loads.sp8t_load_profile(design, frequencies)
+        return loads.sp8t_load_profile(design, frequencies), None, src
     suffix = Path(src).suffix.lower()
     if suffix == ".json":
         design = loads.StubNetworkDesign.from_json(_read_text(src))
-        return loads.sp8t_load_profile(design, frequencies)
+        return loads.sp8t_load_profile(design, frequencies), design.switch, f"{src} (switch)"
     if suffix in (".s2p", ".s1p", ".snp"):
         switch = touchstone.parse_touchstone(_read_text(src))
-        return loads.spdt_load_profile(switch, frequencies)
+        return loads.spdt_load_profile(switch, frequencies), switch, src
     raise ValueError(
         f"unknown loads source '{src}' (expected ideal-1bit, ideal-3bit, "
         "a design .json or a switch .s2p)"
@@ -199,6 +249,8 @@ def _load_profile_source(args, frequencies: np.ndarray, f_center: float):
 
 
 def cmd_profile(args) -> int:
+    from . import network
+
     unit_cell = touchstone.parse_touchstone(_read_text(args.unit_cell))
     freqs = unit_cell.frequencies
     if args.band_low_hz is not None:
@@ -208,7 +260,7 @@ def cmd_profile(args) -> int:
     if freqs.size == 0:
         raise InputDataError("no unit-cell sweep points inside the requested band")
     f_center = args.f_center_hz
-    load_profile = _load_profile_source(args, freqs, f_center)
+    load_profile, switch, switch_name = _load_profile_source(args, freqs, f_center)
     profile = network.profile_from_network(unit_cell, load_profile)
     # A file source is named by its basename (the ideal-* names are their own),
     # so the output does not depend on the path used to reach the same file.
@@ -217,10 +269,14 @@ def cmd_profile(args) -> int:
     )
     _write_output(touchstone.dump_state_csv(profile, comments=comments), args.out)
     _warn_if_active(profile)
+    if switch is not None:
+        _warn_if_not_passive(switch, switch_name)
     return 0
 
 
 def cmd_synth(args) -> int:
+    from . import loads
+
     if args.n_band_points > MAX_BAND_POINTS:
         raise ValueError(
             f"--n-band-points {args.n_band_points} is above the limit of {MAX_BAND_POINTS}"
@@ -238,10 +294,14 @@ def cmd_synth(args) -> int:
         switch, line, f_center, band, n_band_points=args.n_band_points
     )
     _write_output(design.to_json(f_center_hz=f_center), args.out)
+    if switch is not None:
+        _warn_if_not_passive(switch, args.switch)
     return 0
 
 
 def cmd_bandwidth(args) -> int:
+    from . import metrics
+
     profile = touchstone.load_state_csv(_read_text(args.profile))
     if args.virtual_2bit:
         if profile.n_states != 8:
@@ -286,6 +346,8 @@ def _theta_grid(args) -> np.ndarray:
 
 
 def cmd_pattern(args) -> int:
+    from . import array as arr
+
     for flag, tiles in (("--tiles-x", args.tiles_x), ("--tiles-y", args.tiles_y)):
         if tiles > MAX_TILES:
             raise ValueError(f"{flag} {tiles} is above the limit of {MAX_TILES} tiles")
@@ -341,6 +403,8 @@ def cmd_pattern(args) -> int:
 
 def _load_sweep(path: str) -> tuple:
     """(sweep, reference impedance in ohms) of a sweep file; a CSV sweep counts as 50 ohms."""
+    from . import gating
+
     text = _read_text(path)
     if Path(path).suffix.lower() == ".csv":
         return gating.load_sweep_csv(text), 50.0
@@ -349,6 +413,8 @@ def _load_sweep(path: str) -> tuple:
 
 
 def cmd_gate(args) -> int:
+    from . import gating
+
     if args.normalize and args.reference is None:
         raise ValueError("--normalize requires --reference <plate sweep file>")
     if args.reference is not None and not args.normalize:

@@ -15,14 +15,15 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .array import C0, _wrap180
 from .errors import InputDataError
 from .network import cascade, interp_s, profile_from_network
 from .touchstone import (
+    C0,
     PortNetwork,
     ReflectionProfile,
     _require_in_sweep,
     _require_ports,
+    _wrap180,
     parse_touchstone,
     serialize_touchstone,
 )

@@ -26,6 +26,9 @@ import numpy as np
 
 from .errors import FrequencyRangeError, InputDataError, StateCsvError, TouchstoneParseError
 
+# Speed of light in vacuum, m/s (exact SI value).
+C0 = 299_792_458.0
+
 _FREQ_SCALE = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 _FORMATS = ("ri", "ma", "db")
 # Option-line token kinds: the name in the duplicate-token message, the tokens
@@ -132,6 +135,11 @@ class ReflectionProfile:
     def at_frequency(self, f: float) -> np.ndarray:
         """Per-state gamma at ``f``, linear on real/imag parts, no extrapolation."""
         return _interp_complex(self.frequencies, self.gamma.T, f)
+
+
+def _wrap180(deg):
+    """Phase differences (degrees) wrapped into [-180, 180)."""
+    return (np.asarray(deg) + 180.0) % 360.0 - 180.0
 
 
 def _frequency_grid(freqs, error=InputDataError, line_nos=None) -> np.ndarray:

@@ -8,9 +8,11 @@ from datetime import datetime
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import risnet.array
+import risnet.loads
 from risnet import cli, metrics
 from risnet.gating import dump_sweep_csv, load_sweep_csv, synth_multipath
 from risnet.loads import MicrostripLine, StubNetworkDesign, StubState, ideal_sp8t_design
@@ -407,6 +409,76 @@ def test_profile_warns_when_the_unit_cell_amplifies(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def write_s_data(path, rows, n_ports=2):
+    """A Touchstone RI file of ``rows`` (frequency, S-matrix) with complex entries."""
+    lines = ["# Hz S RI R 50"]
+    for f, s in rows:
+        s = np.atleast_2d(s)
+        flat = [complex(s[i, j]) for i, j in ((0, 0), (1, 0), (0, 1), (1, 1))[:n_ports**2]]
+        lines.append(f"{f:.12g} " + " ".join(f"{v.real:.17g} {v.imag:.17g}" for v in flat))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1, 1), min_size=8, max_size=8),
+       st.sampled_from((1e-150, 1e-3, 1.0, 7.5, 1e150)))
+# Nearly unitary, two close singular values: |S|_F^4 - 4 |det S|^2 taken
+# literally cancels here and loses half the digits.
+@example(parts=[1.192092896e-07, 0.75, 0.75, 0.0, 0.75, 0.0, 0.0, 0.75], scale=1.0)
+# A subnormal largest entry.
+@example(parts=[0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.099451385068457e-163], scale=1e-150)
+def test_sigma_max_equals_the_largest_singular_value(parts, scale):
+    s = scale * (np.array(parts[:4]) + 1j * np.array(parts[4:])).reshape(1, 2, 2)
+    want = np.linalg.svd(s, compute_uv=False)[:, 0]
+    np.testing.assert_allclose(cli._sigma_max(s), want, rtol=1e-12, atol=1e-15 * scale)
+
+
+def test_sigma_max_past_the_float_range_reads_inf():
+    s = np.full((1, 2, 2), 1.5e308 + 1.5e308j)
+    assert cli._sigma_max(s).tolist() == [math.inf]
+
+
+@pytest.mark.parametrize("excess, warns", [(0.5e-6, False), (2e-6, True)])
+def test_the_passivity_warning_sits_at_its_tolerance(tmp_path, capsys, excess, warns):
+    # [[a, b], [b, a]] has singular values |a + b| and |a - b|.
+    s = np.array([[0.6, 0.4 + excess], [0.4 + excess, 0.6]])
+    path = write_s_data(tmp_path / "cell.s2p", [(3e9, 0.5 * s), (3.5e9, s)])
+    assert cli.main(["parse", path]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("type: touchstone\n")
+    assert captured.err == (
+        f"warning: nonphysical S-data in {path}: sigma_max {cli._fmt(1.0 + excess)} > 1 at "
+        "3500000000 Hz (1 of 2 points above 1 + 1e-06)\n" if warns else ""
+    )
+
+
+def test_each_component_input_warns_when_not_passive(tmp_path, capsys):
+    freqs = np.linspace(3.0e9, 4.2e9, 13)
+    active = write_s_data(tmp_path / "active.s2p", [(f, [[0, 1.1], [1.1, 0]]) for f in freqs])
+    thru = write_thru_s2p(tmp_path / "thru.s2p")
+    line = ["--line-width-m", "1.5e-3"]
+    design = str(tmp_path / "design.json")
+    limit = "> 1 at 3000000000 Hz (13 of 13 points above 1 + 1e-06)"
+    cases = [
+        (["synth", "--switch", active, *line, "--out", design], [active]),
+        (["profile", thru, "--loads", design], [f"{design} (switch)"]),
+        (["profile", thru, "--loads", active], [active]),
+    ]
+    for argv, named in cases:
+        assert cli.main(argv) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert [ln for ln in lines if "S-data" in ln] == [
+            f"warning: nonphysical S-data in {name}: sigma_max 1.1 {limit}" for name in named
+        ]
+    # A 1-port may be a scene sweep, not component data: neither gate nor parse checks it.
+    sweep = synth_multipath([(2e-9, 1.1)], np.linspace(1e9, 5e9, 201))
+    s1p = write_s_data(tmp_path / "scene.s1p", zip(sweep.frequencies, sweep.values), 1)
+    for argv in (["gate", s1p, "--t-start-s", "0", "--t-stop-s", "6e-9"], ["parse", s1p]):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err == ""
+
+
 def test_gate_all_pass_identity(tmp_path):
     freqs = np.linspace(3.0e9, 4.2e9, 401)
     sweep = synth_multipath([(2e-9, 1.0)], freqs)
@@ -738,8 +810,8 @@ def test_grid_caps_exit_2_before_allocating(monkeypatch, capsys, argv, named):
 
     # Nothing may be read, built or allocated before the caps are checked.
     monkeypatch.setattr(cli, "_read_text", reached)
-    monkeypatch.setattr(cli.arr, "build_array", reached)
-    monkeypatch.setattr(cli.loads, "synthesize_stub_lengths", reached)
+    monkeypatch.setattr(risnet.array, "build_array", reached)
+    monkeypatch.setattr(risnet.loads, "synthesize_stub_lengths", reached)
     monkeypatch.setattr(np, "arange", reached)
     assert cli.main(argv) == 2
     err = capsys.readouterr().err

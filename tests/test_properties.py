@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import risnet.array
 from risnet import cli
 from risnet.errors import (
     FrequencyRangeError,
@@ -977,7 +978,7 @@ def test_pattern_writer_matches_per_row_oracle(pattern_profile, af, phi):
             "--theta-start-deg", "-1", "--theta-step-deg", "0.0625",
             "--theta-stop-deg", repr(-1 + 0.0625 * (n - 1)), "--phi-az-deg", repr(phi)]
     out = io.StringIO()
-    with mock.patch.object(cli.arr, "array_factor", lambda *a, **k: af), redirect_stdout(out):
+    with mock.patch.object(risnet.array, "array_factor", lambda *a, **k: af), redirect_stdout(out):
         assert cli.main(argv) == 0
     theta_grid = np.arange(-1.0, -1 + 0.0625 * (n - 1) + 0.0625 / 2, 0.0625)
     mag = np.abs(af)

@@ -8,8 +8,9 @@ Usage (from any directory):
 An empty or missing ``IN_DIR`` is filled once with the seed-5 benchmark
 fixtures of ``perfbench/fixtures.py`` (401- and 1601-point unit cells and
 switches, a synthesized stub design, state CSVs and gating sweeps), an active
-(+14 dB) state CSV and a few malformed or unsupported files. A non-empty
-``IN_DIR`` is read as it is, so two checkouts can be run on the same files.
+(+14 dB) state CSV, an active 2-port and a few malformed or unsupported files.
+A non-empty ``IN_DIR`` is read as it is, so two checkouts can be run on the
+same files.
 Each invocation runs as ``python -m risnet.cli`` (the ``risnet`` on
 PYTHONPATH, by default this checkout's) in its own directory
 ``OUT_DIR/<case>``, on inputs under the relative path ``in/``. That directory
@@ -58,6 +59,7 @@ CASES = {
     "parse-falling": ["parse", "in/falling.s1p"],
     "parse-nan-s": ["parse", "in/nan.s1p"],
     "parse-v2": ["parse", "in/v2.s2p"],
+    "parse-active-s2p": ["parse", "in/active.s2p"],
     "parse-binary": ["parse", "in/binary.s2p"],
     "parse-missing": ["parse", "in/missing.s2p"],
     "synth-ideal": ["synth", *LINE],
@@ -162,6 +164,10 @@ def fill(in_dir: Path) -> None:
     files["plate.csv"] = gating.dump_sweep_csv(plate)
     files["dut.s1p"] = touchstone.serialize_touchstone(gating.sweep_to_network(dut), "RI", "GHz")
 
+    # S21 = S12 = 1.1: sigma_max 1.1 at every point, so the CLI warns and runs on.
+    files["active.s2p"] = "# Hz S RI R 50\n" + "".join(
+        f"{fk:.12g} 0 0 1.1 0 1.1 0 0 0\n" for fk in f[::40]
+    )
     files["dc.s1p"] = "# Hz S RI R 50\n0 0.5 0\n1e9 0.5 0\n"
     files["cell.s1p"] = "# Hz S RI R 50\n3e9 0.5 0\n4e9 0.5 0\n"
     files["negative.s1p"] = "# Hz S RI R 50\n-2 0 0\n-1 0 0\n0 0 0\n"

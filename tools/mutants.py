@@ -11,10 +11,12 @@ checkout (working tree, not the last commit), which must pass. It then
 copies the checkout again for each mutant (or only those whose name contains
 one of the given ``NAME`` substrings), applies it, runs the suite with ``-x``
 and reports the mutant as killed, with the first failing test, or as
-survived. Copies go to the system temporary directory and are removed after
-each run. A survivor costs one full suite run (about 20 s on 2 vCPUs). A
-mutant that no test can tell from the original stays listed, with the reason
-in its note.
+survived. Under a killed mutant (or a failing unmutated suite) the report keeps
+the first failure's ``E`` lines and any hypothesis ``Falsifying example:``
+block, so a failure that does not repeat can still be read. Copies go to the
+system temporary directory and are removed after each run. A survivor costs
+one full suite run (about 20 s on 2 vCPUs). A mutant that no test can tell
+from the original stays listed, with the reason in its note.
 
 The tool exits 0 when every mutant is killed or noted, and 1 when an unnoted
 mutant survives or the unmutated suite fails. It is run by hand, not by the
@@ -24,6 +26,7 @@ test suite.
 from __future__ import annotations
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -36,6 +39,8 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-rf", "-p", "no:cacheprovi
          "--continue-on-collection-errors"]
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",
                                 ".perfbench", ".benchmarks", "*.egg-info")
+# The header of one test's failure report: "____ test_name ____" ("_ name _" when long).
+TEST_HEADER = re.compile(r"^_+ .* _+$")
 
 # (name, file, original fragment, mutated fragment, note). A note marks a
 # survivor as expected and says why.
@@ -67,6 +72,11 @@ MUTANTS = [
      "if first + len(kept) == len(lines):", "if True:", ""),
     ("CLI gain warning tolerance 1e-6 -> 1e-5", "src/risnet/cli.py",
      "GAIN_TOLERANCE = 1e-6", "GAIN_TOLERANCE = 1e-5", ""),
+    ("CLI imports every module at module level", "src/risnet/cli.py",
+     "from . import touchstone\n",
+     "from . import array, gating, loads, metrics, network, touchstone\n", ""),
+    ("gating imports scipy at module level", "src/risnet/gating.py",
+     "import numpy as np\n", "import numpy as np\nimport scipy.signal  # noqa: F401\n", ""),
 ]
 
 
@@ -84,13 +94,29 @@ def mutate(tree: Path, path: str, old: str, new: str) -> None:
     target.write_text(text.replace(old, new), encoding="utf-8")
 
 
+def first_failure(lines: list) -> list:
+    """The ``E`` lines and any ``Falsifying example:`` block of the first failure report."""
+    start = next((i for i, line in enumerate(lines) if TEST_HEADER.match(line)), len(lines))
+    kept, in_example = [], False
+    for line in lines[start + 1:]:
+        if TEST_HEADER.match(line) or line.startswith("===="):
+            break
+        body = line.removeprefix("E").strip()
+        in_example = in_example or body.startswith("Falsifying example:")
+        if line.startswith("E ") or in_example:
+            kept.append(line.rstrip())
+        in_example = in_example and not body.endswith(")")  # the block closes its call
+    return kept
+
+
 def run_tier1(tree: Path) -> tuple:
-    """(passed, first failing test or the last output line) of the suite in ``tree``."""
+    """(passed, first failing test or the last output line, first failure's lines) in ``tree``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     proc = subprocess.run(TIER1, cwd=tree, env=env, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     failed = [line.split()[1] for line in lines if line.startswith(("FAILED ", "ERROR "))]
-    return proc.returncode == 0, (failed[0] if failed else (lines[-1] if lines else ""))
+    detail = failed[0] if failed else (lines[-1] if lines else "")
+    return proc.returncode == 0, detail, first_failure(lines)
 
 
 def probe(mutant=None) -> tuple:
@@ -108,17 +134,19 @@ def main() -> int:
         print(f"error: no mutant matches {wanted}", file=sys.stderr)
         return 2
     start = time.monotonic()
-    passed, detail = probe()
+    passed, detail, failure = probe()
     if not passed:
         print(f"error: the unmutated suite fails ({detail})", file=sys.stderr)
+        print("".join(f"    {line}\n" for line in failure), end="", file=sys.stderr)
         return 1
     killed = unnoted = 0
     for mutant in mutants:
         name, note = mutant[0], mutant[-1]
-        survived, detail = probe(mutant)
+        survived, detail, failure = probe(mutant)
         if not survived:
             killed += 1
             print(f"killed    {name}  ({detail})", flush=True)
+            print("".join(f"    {line}\n" for line in failure), end="", flush=True)
         else:
             unnoted += not note
             print(f"survived  {name}" + (f"  [noted: {note}]" if note else ""), flush=True)
