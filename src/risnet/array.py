@@ -157,17 +157,23 @@ def steering_codebook(layout: ArrayLayout, gamma_states, direction, f: float) ->
     return state_map, best
 
 
-def _steering_vectors(u, coords, k0: float) -> np.ndarray:
-    """exp(j*k0*outer(u, coords)) from the right half of centred coords (see array_factor)."""
+def _steering_vectors(u, coords, k0: float, m: int) -> np.ndarray:
+    """exp(j*k0*outer(u, coords)) for the (theta, phi)-shaped u, one row per direction.
+
+    Only the right half of the centred coords and theta rows ``m:`` are
+    exponentiated; theta row i < m is the conjugate of row -1 - i, which the
+    caller guarantees by u[i] == -u[-1 - i] (see array_factor).
+    """
     n = coords.size // 2
-    out = np.zeros((u.size, 2 * n), dtype=complex)
-    right = out[:, n:]
+    out = np.zeros((*u.shape, 2 * n), dtype=complex)
+    right = out[m:, :, n:]
     phase = right.imag
-    np.multiply.outer(u, coords[n:], out=phase)
+    np.multiply.outer(u[m:], coords[n:], out=phase)
     phase *= k0
     np.exp(right, out=right)
-    np.conjugate(right[:, ::-1], out=out[:, :n])
-    return out
+    np.conjugate(right[..., ::-1], out=out[m:, :, :n])
+    np.conjugate(out[::-1][:m], out=out[:m])
+    return out.reshape(u.size, 2 * n)
 
 
 @functools.lru_cache(maxsize=_STEERING_CACHE_SIZE)
@@ -175,13 +181,20 @@ def _steering_matrices(layout: ArrayLayout, k0: float, theta: bytes, phi: bytes)
     """Read-only (A_x, A_y) over the theta x phi directions, 1-D radians given as bytes.
 
     The bytes key keeps -0.0 apart from 0.0, whose exponentials differ in the
-    sign of a zero imaginary part.
+    sign of a zero imaginary part. When the computed sines are mirrored bit
+    for bit, sin_t[i] == -sin_t[-1 - i] (signs of zero included), the first
+    half of the theta rows are conjugates of the second half; an odd grid's
+    centre row is always computed.
     """
     theta, phi = np.frombuffer(theta), np.frombuffer(phi)
     x, y = layout.cell_positions()
-    sin_t = np.sin(theta)[:, np.newaxis]
-    a_x = _steering_vectors((sin_t * np.cos(phi)).ravel(), x[0], k0)
-    a_y = _steering_vectors((sin_t * np.sin(phi)).ravel(), y[:, 0], k0)
+    sin_t = np.sin(theta)
+    m = sin_t.size // 2
+    if sin_t[:m].tobytes() != (-sin_t[::-1][:m]).tobytes():
+        m = 0
+    sin_t = sin_t[:, np.newaxis]
+    a_x = _steering_vectors(sin_t * np.cos(phi), x[0], k0, m)
+    a_y = _steering_vectors(sin_t * np.sin(phi), y[:, 0], k0, m)
     a_x.flags.writeable = a_y.flags.writeable = False
     return a_x, a_y
 
@@ -201,7 +214,7 @@ def array_factor(
     y*sin(theta)*sin(phi))) times an optional cos^q(theta) element factor
     (q = ``element_exponent``, 0 disables it), which is 0 behind the surface
     (|theta| > 90 degrees). ``theta_deg`` and ``phi_az_deg`` are scalars or
-    1-D arrays (anything else raises ValueError); the output shape is
+    non-empty 1-D arrays (anything else raises ValueError); the output shape is
     (len(theta_deg), len(phi_az_deg)) squeezed to 1-D when a single azimuth
     is given. Normalize against its own max for dB plots. On the regular cell
     grid the sum factors as a_y(v)^T G a_x(u) with G the (cells_y, cells_x)
@@ -209,11 +222,17 @@ def array_factor(
     coordinates are centred and even in count, hence exactly antisymmetric,
     so a_x and a_y exponentiate only their right halves: the left half is
     conj(right[:, ::-1]), the bits of the full exponential except the sign
-    of a zero imaginary part where u or v is 0. a_x and a_y depend only on
-    the wall, f and the theta/phi grid: the last few such pairs are kept
-    read-only and reused, and the pattern is summed in blocks of directions,
-    so the temporaries stay one block in size. ``gamma_states`` and ``f``
-    are checked as in :func:`steering_codebook`; a sum past the float range
+    of a zero imaginary part where u or v is 0. Likewise, when the grid's
+    sines are mirrored bit for bit, sin(theta[i]) == -sin(theta[-1 - i]) as
+    for the default -90...90 cut, only the second half of the theta rows is
+    exponentiated and the first half is their conjugate in reverse theta
+    order; a grid that is not mirrored (say an asymmetric span, or
+    ``np.arange`` at step 0.1) exponentiates every row. Either way the
+    output has the same bits. a_x and a_y depend only on the wall, f and
+    the theta/phi grid: the last few such pairs are kept read-only and
+    reused, and the pattern is summed in blocks of directions, so the
+    temporaries stay one block in size. ``gamma_states`` and ``f`` are
+    checked as in :func:`steering_codebook`; a sum past the float range
     raises InputDataError naming its direction.
     """
     state_map = np.asarray(state_map)
@@ -231,6 +250,9 @@ def array_factor(
     phi_az_deg = np.atleast_1d(np.asarray(phi_az_deg, dtype=float))
     if theta_deg.ndim > 1 or phi_az_deg.ndim > 1:
         raise ValueError("theta_deg and phi_az_deg must be scalars or 1-D arrays")
+    for name, grid in (("theta_deg", theta_deg), ("phi_az_deg", phi_az_deg)):
+        if grid.size == 0:
+            raise ValueError(f"{name} must not be empty")
     theta, phi = np.deg2rad(theta_deg), np.deg2rad(phi_az_deg)
     if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(phi))):
         raise ValueError("theta_deg and phi_az_deg must be finite")

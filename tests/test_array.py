@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -303,6 +303,63 @@ def test_array_factor_equals_the_full_exponential_path(wall, seed, f, theta, phi
     assert af.tobytes() == ref.tobytes()
 
 
+def mirrored_sines(theta_deg) -> bool:
+    """Whether sin(theta)[i] and -sin(theta)[-1 - i] have the same bits (the theta mirror)."""
+    s = np.sin(np.deg2rad(theta_deg))
+    m = s.size // 2
+    return s[:m].tobytes() == (-s[::-1][:m]).tobytes()
+
+
+@st.composite
+def mirrored_grids(draw, near_miss):
+    """concat(-h[::-1], [centre], h) in degrees, with +-90 included and the centre 0.0,
+    -0.0 or absent. A near miss moves one element by one ulp and keeps it only where
+    that breaks the mirror of the computed sines, so the unmirrored build runs."""
+    h = np.unique(draw(st.lists(st.floats(0.0, 90.0, exclude_min=True), max_size=40)) + [90.0])
+    centre = draw(st.sampled_from(([], [0.0], [-0.0])))
+    theta = np.concatenate([-h[::-1], centre, h])
+    if near_miss:
+        i = draw(st.integers(0, theta.size - 1))
+        theta[i] = np.nextafter(theta[i], draw(st.sampled_from((-np.inf, np.inf))))
+        assume(not mirrored_sines(theta))
+    return theta
+
+
+@settings(deadline=None, max_examples=150)
+@given(wide_walls(), st.integers(0, 2**32 - 1), frequencies,
+       st.booleans().flatmap(mirrored_grids),
+       azimuths_deg | st.lists(azimuths_deg, min_size=2, max_size=12), exponents)
+def test_mirrored_and_near_miss_grids_equal_the_full_exponential_path(
+        wall, seed, f, theta, phi, q):
+    layout, gammas = wall
+    state_map = np.random.default_rng(seed).integers(
+        0, len(gammas), (layout.cells_y, layout.cells_x))
+    af = array_factor(layout, state_map, gammas, f, theta, phi, element_exponent=q)
+    ref = full_exp_af(layout, state_map, gammas, f, theta, phi, q)
+    assert af.shape == ref.shape
+    assert af.tobytes() == ref.tobytes()
+
+
+@settings(deadline=None, max_examples=100)
+@given(wide_walls(), frequencies, mirrored_grids(near_miss=False),
+       st.lists(st.sampled_from((0.0, 90.0, 180.0)) | azimuths_deg, min_size=1, max_size=6))
+def test_mirrored_steering_matrices_equal_the_full_exponential(wall, f, theta_deg, phi_deg):
+    # Bit for bit, except the sign of a zero imaginary part where the phase is
+    # 0: where u or v is 0, or their product with k0 and a coordinate underflows.
+    layout, _ = wall
+    theta, phi = np.deg2rad(theta_deg), np.deg2rad(np.array(phi_deg))
+    k0 = 2.0 * np.pi * f / C0
+    a_x, a_y = _steering_matrices(layout, k0, theta.tobytes(), phi.tobytes())
+    x, y = layout.cell_positions()
+    sin_t = np.sin(theta)[:, np.newaxis]
+    for a, u, coords in ((a_x, sin_t * np.cos(phi), x[0]), (a_y, sin_t * np.sin(phi), y[:, 0])):
+        phase = k0 * np.multiply.outer(u.ravel(), coords)
+        ref = np.exp(1j * phase)
+        assert a.real.tobytes() == ref.real.tobytes()
+        assert np.array_equal(a.imag, ref.imag)
+        assert a.imag[phase != 0].tobytes() == ref.imag[phase != 0].tobytes()
+
+
 def test_array_factor_memory_stays_small():
     # A 24x24-tile wall over a 361-theta cut: the (directions, cells) phase
     # tensor alone is 361 x 9216 complex values, about 53 MB.
@@ -365,6 +422,16 @@ def test_array_factor_rejects_nonphysical_arguments(kwargs, named):
     args = {"theta_deg": [0.0, 10.0], **kwargs}
     with pytest.raises(ValueError, match=named):
         array_factor(layout, np.zeros((4, 4), int), IDEAL_1BIT, F, **args)
+
+
+@pytest.mark.parametrize("kwargs, named", [
+    (dict(theta_deg=[]), "theta_deg"),
+    (dict(theta_deg=np.zeros(0), phi_az_deg=[0.0, 10.0]), "theta_deg"),
+    (dict(theta_deg=[0.0, 10.0], phi_az_deg=[]), "phi_az_deg"),
+], ids=["empty theta cut", "empty theta grid", "empty phi"])
+def test_array_factor_rejects_an_empty_direction_grid(kwargs, named):
+    with pytest.raises(ValueError, match=f"^{named} must not be empty$"):
+        array_factor(build_array(1, 1, 1), np.zeros((4, 4), int), IDEAL_1BIT, F, **kwargs)
 
 
 @pytest.mark.parametrize("phi", [float("nan"), float("inf"), float("-inf")])

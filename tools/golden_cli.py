@@ -103,6 +103,10 @@ CASES = {
                      "--out", "pattern.csv"],
     "pattern-stamp": ["pattern", "in/p3_401.csv", "--stamp", "--out", "pattern.csv"],
     "pattern-bad-step": ["pattern", "in/p3_401.csv", "--theta-step-deg", "0"],
+    # Theta cuts whose sines are not mirrored, so the steering build exponentiates every row.
+    "pattern-asymmetric-cut": ["pattern", "in/p3_401.csv", *STEER, "--theta-start-deg", "-30",
+                               "--theta-stop-deg", "60", "--theta-step-deg", "0.25"],
+    "pattern-unmirrored-step": ["pattern", "in/p3_401.csv", *STEER, "--theta-step-deg", "0.1"],
     "gate-csv": ["gate", "in/dut.csv", *GATE],
     "gate-normalize": ["gate", "in/dut.csv", *GATE, "--normalize", "--reference", "in/plate.csv",
                        "--out", "gated.csv"],

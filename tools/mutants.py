@@ -68,6 +68,10 @@ MUTANTS = [
      "_DB_FLOOR = -600.0", "_DB_FLOOR = -300.0", ""),
     ("codebook ties to the highest state", "src/risnet/array.py",
      "for state in range(len(dist) - 1, -1, -1):", "for state in range(len(dist)):", ""),
+    ("steering build mirrors every theta grid", "src/risnet/array.py",
+     "if sin_t[:m].tobytes() != (-sin_t[::-1][:m]).tobytes():", "if False:", ""),
+    ("steering build copies mirrored theta rows unconjugated", "src/risnet/array.py",
+     "np.conjugate(out[::-1][:m], out=out[:m])", "out[:m] = out[::-1][:m]", ""),
     ("readers always number lines by range", "src/risnet/touchstone.py",
      "if first + len(kept) == len(lines):", "if True:", ""),
     ("CLI gain warning tolerance 1e-6 -> 1e-5", "src/risnet/cli.py",
