@@ -13,7 +13,9 @@ A non-empty ``IN_DIR`` is read as it is, so two checkouts can be run on the
 same files.
 Each invocation runs as ``python -m risnet.cli`` (the ``risnet`` on
 PYTHONPATH, by default this checkout's) in its own directory
-``OUT_DIR/<case>``, on inputs under the relative path ``in/``. That directory
+``OUT_DIR/<case>``, on inputs under the relative path ``in/``. PYTHONUNBUFFERED
+is removed from its environment, so stdout is block-buffered, as a user's
+usually is, and the CLI's final flush is under test. That directory
 then holds the invocation's ``argv``, ``stdout``, ``stderr``, ``exit`` code
 and any file it wrote. ``--stamp`` timestamps are replaced by ``<timestamp>``,
 so a rerun gives the same bytes. An invocation that writes a file (``--out``
@@ -236,6 +238,7 @@ def main() -> int:
         return 2
     in_dir, out_dir = (Path(a).resolve() for a in args)
     env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
     if env.get("PYTHONPATH"):
         # Each case runs in its own directory, where a relative entry finds nothing.
         env["PYTHONPATH"] = os.pathsep.join(

@@ -79,6 +79,12 @@ MUTANTS = [
     ("CLI imports every module at module level", "src/risnet/cli.py",
      "from . import touchstone\n",
      "from . import array, gating, loads, metrics, network, touchstone\n", ""),
+    ("CLI process leaves without flushing stdout", "src/risnet/cli.py",
+     "        sys.stdout.flush()\n", "", ""),
+    ("CLI process leaves without flushing stderr", "src/risnet/cli.py",
+     "        sys.stderr.flush()\n", "",
+     "stderr is line-buffered (Python >= 3.9) and every CLI write to it ends in a newline, "
+     "so nothing is left in its buffer to lose"),
     ("gating imports scipy at module level", "src/risnet/gating.py",
      "import numpy as np\n", "import numpy as np\nimport scipy.signal  # noqa: F401\n", ""),
 ]
