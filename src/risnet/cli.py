@@ -591,13 +591,17 @@ def run():
     When ``main`` returns, every output file is written and closed; only the
     stdout and stderr buffers are left. They are flushed once, and the process
     leaves through ``os._exit``, which skips the final garbage collection and
-    the freeing of numpy's modules (about 13 ms of a call). A flush that fails
-    (a full device, a closed pipe) writes one ``error:`` line, if stderr takes
-    it, and exits 3, or with main's code when that is already non-zero. Usage
-    errors and --help (argparse's SystemExit) and uncaught exceptions leave
-    through the usual teardown.
+    the freeing of numpy's modules (about 13 ms of a call). Usage errors and
+    --help leave ``main`` as argparse's SystemExit, whose code is taken as
+    main's. A flush that fails (a full device, a closed pipe) writes one
+    ``error:`` line, if stderr takes it, and exits 3, or with main's code when
+    that is already non-zero. Uncaught exceptions leave through the usual
+    teardown.
     """
-    rc = main()
+    try:
+        rc = main()
+    except SystemExit as e:  # argparse's exit, code 0 after --help or 2 on a usage error
+        rc = e.code
     try:
         sys.stdout.flush()
         sys.stderr.flush()

@@ -13,8 +13,11 @@ that are neither blank nor comments and their line numbers. It parses the rows
 with one ``np.loadtxt`` call; only where loadtxt refuses them does a per-line
 cast run over the kept lines, which accepts exactly what ``float()`` and
 ``int()`` accept and stops at the first faulty line. Every row and table rule
-then runs once, vectorized, and names its line. Writers format all rows of a
-table with one ``%`` operation (:func:`_format_rows`).
+then runs once, vectorized, and names its line. Writers format their tables
+with numpy, in blocks of about ``_CHUNK`` values (:func:`_format_rows`,
+:func:`_text_rows`). Each float prints byte for byte as ``'%.12g' %`` prints
+it: in bulk where the rounding is certain (:func:`_g_text`), and through
+``'%.12g' %`` itself where it is not.
 """
 
 from __future__ import annotations
@@ -350,17 +353,135 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _format_rows(row_format: str, *columns) -> str:
-    """One ``row_format`` line per row of ``columns``, formatted in one ``%``.
+def _digit_tables() -> tuple:
+    """The ASCII digits of 0000..9999, (10000, 4) uint8, and the trailing zeros of each (4 for 0)."""
+    digits = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T) + np.uint8(48)
+    zero = digits == 48
+    trailing = zero[:, 3] * (1 + zero[:, 2] * (1 + zero[:, 1] * (1 + zero[:, 0])))
+    return digits, trailing.astype(np.uint8)
 
-    ``row_format`` holds one %-field per column and ends in a newline; a
-    ``%.12g`` field prints a float exactly as :func:`_fmt` does.
+
+_DIGITS, _TRAILING_ZEROS = _digit_tables()
+# Slots of one %.12g field: a sign, the "0.000" before a fixed-point value under
+# 1, twelve digits each followed by a slot for the point (but the last), and
+# "e+XX". A 0 byte is an empty slot.
+_FIELD = 33
+_CHUNK = 8192  # values formatted per block of rows
+
+
+def _scaled(a: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """``a * 10**(11 - e)``, rounded once: a product or a quotient by an exact power of ten."""
+    k = 11 - e
+    p = np.cumprod(np.r_[1.0, np.full(22, 10.0)])  # 1e0..1e22, each exact
+    y = a * p[np.maximum(k, 0)]
+    below = np.flatnonzero(k < 0)
+    y[below] = a[below] / p[-k[below]]
+    return y
+
+
+def _g_text(x: np.ndarray) -> np.ndarray:
+    """The ``'%.12g' % v`` text of each float ``v`` of ``x``, one row of ``_FIELD`` ASCII codes each.
+
+    A value with 1e-10 <= |v| < 1e30 is scaled by one exact power of ten to
+    12 integer digits. The scaled value is within 6.1e-5 (half an ulp below
+    2**40) of the exact product, so rounding it to an integer is exact unless
+    its fraction is within 1e-3 of 0.5. Those values, zeros, non-finite values
+    and magnitudes outside the range go through ``'%.12g' %`` one by one.
     """
-    k = len(columns)
-    flat = [None] * (k * len(columns[0]))
-    for j, col in enumerate(columns):
-        flat[j::k] = col.tolist() if isinstance(col, np.ndarray) else col
-    return (row_format * len(columns[0])) % tuple(flat)
+    x = np.asarray(x, dtype=float)
+    a = np.abs(x)
+    fast = (a >= 1e-10) & (a < 1e30)
+    a[~fast] = 1.0
+    e = np.floor(np.log10(a)).astype(np.int64)  # off by one at most, next to a power of ten
+    y = _scaled(a, e)
+    off = np.flatnonzero((y < 1e11) | (y >= 1e12))
+    e[off] += np.where(y[off] < 1e11, -1, 1)
+    y[off] = _scaled(a[off], e[off])
+    whole = np.floor(y)
+    frac = y - whole
+    m = whole.astype(np.int64) + (frac > 0.5)
+    carry = np.flatnonzero(m == 10**12)
+    m[carry] = 10**11
+    e[carry] += 1
+    fast &= (np.abs(frac - 0.5) >= 1e-3) & (m >= 10**11) & (m < 10**12)
+
+    q8, q4 = m // 10**8, m // 10**4
+    groups = [q8, q4 - q8 * 10**4, m - q4 * 10**4]  # digits 1-4, 5-8 and 9-12 of m
+    digits = np.stack([_DIGITS.view(np.uint32)[g, 0] for g in groups], axis=1)  # 4 ASCII codes each
+    zeros = [_TRAILING_ZEROS[g] for g in groups]
+    n_digits = 12 - np.where(groups[2], zeros[2], 4 + np.where(groups[1], zeros[1], 4 + zeros[0]))
+    fixed = (e >= -4) & (e < 12)
+    shown = np.maximum(n_digits, np.where(fixed, e + 1, 0))  # a fixed integer keeps its zeros
+    keep = (np.arange(12) < np.arange(13)[:, None]).astype(np.uint8) * np.uint8(255)
+    digits &= keep.view(np.uint32)[shown]  # keep[c] keeps the first c digits
+
+    out = np.zeros((x.size, _FIELD), np.uint8)
+    out[:, 0] = (x < 0).view(np.uint8) * np.uint8(ord("-"))
+    lead = fixed & (e < 0)  # 1e-4 <= |v| < 1: "0." and up to three zeros
+    if lead.any():
+        for j, (char, below) in enumerate(zip("0.000", (0, 0, -1, -2, -3)), start=1):
+            out[:, j] = (lead & (e < below)).view(np.uint8) * np.uint8(ord(char))
+    out[:, 6:29:2] = digits.view(np.uint8)
+    point = np.where(fixed, e, 0)  # the digit the point follows; none when negative
+    rows = np.flatnonzero((point >= 0) & (point + 1 < n_digits))
+    out.reshape(-1)[rows * _FIELD + 7 + 2 * point[rows]] = ord(".")
+    rows = np.flatnonzero(~fixed)
+    out[rows, 29] = ord("e")
+    out[rows, 30] = np.where(e[rows] < 0, ord("-"), ord("+"))
+    out[rows, 31:33] = _DIGITS[np.abs(e[rows]), 2:]
+
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = ["%.12g" % v for v in x[slow].tolist()]
+        out[slow] = np.array(text, dtype=f"S{_FIELD}").view(np.uint8).reshape(-1, _FIELD)
+    return out
+
+
+def _block_rows(n_fields: int) -> int:
+    """Rows per block of a table whose rows hold ``n_fields`` formatted fields."""
+    return max(1, _CHUNK // n_fields)
+
+
+def _text_rows(n_rows: int, fields: list) -> str:
+    """``n_rows`` lines, each the concatenation of ``fields``, built in blocks of rows.
+
+    A field is a ``str``, the same in every row; a float array of ``n_rows``
+    values, printed as ``'%.12g' %`` prints them; or a function of a row
+    range ``(start, stop)`` that returns those rows' text as a uint8 matrix of
+    ASCII codes, 0 in the slots a row leaves empty. A block holds
+    :func:`_block_rows` rows, about ``_CHUNK`` values, and formats its floats
+    in one :func:`_g_text` call.
+    """
+    floats = [f for f in fields if isinstance(f, np.ndarray)]
+    step = _block_rows(len(floats) + sum(map(callable, fields)))
+    blocks = []
+    for start in range(0, n_rows, step):
+        stop = min(start + step, n_rows)
+        values = np.stack([f[start:stop] for f in floats], axis=1).ravel()
+        text = iter(_g_text(values).reshape(stop - start, len(floats), _FIELD).transpose(1, 0, 2))
+        parts = []
+        for f in fields:
+            if isinstance(f, str):
+                literal = np.frombuffer(f.encode(), np.uint8)
+                parts.append(np.broadcast_to(literal, (stop - start, literal.size)))
+            else:
+                parts.append(next(text) if isinstance(f, np.ndarray) else f(start, stop))
+        blocks.append(np.concatenate(parts, axis=1).tobytes().translate(None, b"\0").decode())
+    return "".join(blocks)
+
+
+def _format_rows(row_format: str, *columns) -> str:
+    """One ``row_format`` line per row of ``columns``.
+
+    ``row_format`` holds one ``%.12g`` field per float column, in order, and
+    ends in a newline; the text between the fields is written as it is. A
+    field prints its float exactly as :func:`_fmt` does.
+    """
+    literals = row_format.split("%.12g")
+    fields = [literals[0]]
+    for column, literal in zip(columns, literals[1:]):
+        fields += [np.asarray(column, dtype=float), literal]
+    return _text_rows(len(columns[0]), fields)
 
 
 def _polar_columns(v: np.ndarray, fmt: str, where) -> tuple:
@@ -531,10 +652,15 @@ def load_state_csv(text: str) -> ReflectionProfile:
 
 def dump_state_csv(profile: ReflectionProfile, comments: tuple = ()) -> str:
     """Render a profile as state CSV text (inverse of :func:`load_state_csv`)."""
-    f_text = [_fmt(f_hz) for f_hz in profile.frequencies.tolist()]
-    body = "".join(
-        _format_rows(f"%s,{state},%.12g,%.12g\n", f_text, *_polar_columns(
-            g, "db", lambda k: f"state {state} at {profile.frequencies[k]} Hz"))
-        for state, g in zip(profile.states, profile.gamma)
-    )
+    freqs, n_f = profile.frequencies, profile.frequencies.size
+    db, ang = _polar_columns(profile.gamma.ravel(), "db", lambda k: (
+        f"state {profile.states[k // n_f]} at {freqs[k % n_f]} Hz"))
+    f_text = _g_text(freqs)
+    labels = np.array([f",{s}," for s in profile.states], dtype=bytes)
+    labels = labels.view(np.uint8).reshape(len(profile.states), -1)
+    body = _text_rows(db.size, [
+        lambda start, stop: f_text[np.arange(start, stop) % n_f],
+        lambda start, stop: labels[np.arange(start, stop) // n_f],
+        db, ",", ang, "\n",
+    ])
     return _csv_text(STATE_CSV_HEADER, comments, body)

@@ -1030,7 +1030,7 @@ def test_cli_fuzz_exit_codes(fuzz_files, monkeypatch, sub):
     """Every drawn argv exits 0, 2, 3 or 4; any other exception fails the test."""
     monkeypatch.chdir(fuzz_files)
 
-    @settings(deadline=None, max_examples=100, database=None)
+    @settings(deadline=None, max_examples=100, database=None, print_blob=True)
     @given(fuzz_argv(sub))
     def run(argv):
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):

@@ -118,6 +118,29 @@ def test_a_failed_stderr_write_exits_3(inputs, unbuffered):
     assert done.stdout.decode().startswith("threshold_deg: ")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("argv", [["--help"], ["gate", "--help"]], ids=["help", "gate-help"])
+def test_help_into_a_full_stdout_exits_3_with_one_error_line(tmp_path, argv):
+    fd = os.open("/dev/full", os.O_WRONLY)
+    try:
+        done = cli_process(argv, tmp_path, stdout=fd, stderr=subprocess.PIPE)
+    finally:
+        os.close(fd)
+    lines = done.stderr.decode().splitlines()
+    assert done.returncode == 3, lines
+    assert len(lines) == 1 and lines[0].startswith("error: [Errno 28] "), lines
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_a_usage_error_into_a_full_stderr_exits_2(tmp_path):
+    fd = os.open("/dev/full", os.O_WRONLY)
+    try:
+        done = cli_process(["parse"], tmp_path, stdout=subprocess.PIPE, stderr=fd)
+    finally:
+        os.close(fd)
+    assert (done.returncode, done.stdout) == (2, b"")
+
+
 @pytest.mark.parametrize("main_code, exit_code", [(0, 3), (4, 4)])
 def test_a_failed_flush_exits_3_unless_main_already_failed(monkeypatch, capsys, main_code,
                                                           exit_code):

@@ -56,6 +56,8 @@ from risnet.touchstone import (
     STATE_CSV_HEADER,
     PortNetwork,
     ReflectionProfile,
+    _block_rows,
+    _format_rows,
     _pairs_to_complex,
     _parse_option_line,
     dump_state_csv,
@@ -954,6 +956,94 @@ def test_sweep_and_bandwidth_writers_match_per_row_oracles(pairs, a, b):
         n_bit = np.log2(360.0 / (np.sqrt(12.0) * sigma))  # inf where sigma is 0
     report = BandwidthReport(sweep.frequencies, sigma, n_bit, 65.0, None, 0.0, sigma)
     assert report.to_csv() == oracle_bandwidth_csv(report)
+
+
+def g_values(kind, rng, n=150_000):
+    """``n`` seeded floats of one class the ``%.12g`` writer must print exactly."""
+    if kind == "phase":
+        return rng.uniform(-180.0, 180.0, n)
+    if kind == "db":
+        return rng.uniform(-80.0, 10.0, n)
+    if kind == "ri":
+        return rng.uniform(-1.0, 1.0, n)
+    if kind == "log-spread":
+        return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-15.0, 35.0, n)
+    if kind == "bit patterns":  # subnormals, NaN payloads and infinities among them
+        return rng.integers(0, 2**64, n, dtype=np.uint64).view(float)
+    if kind == "whole numbers":
+        return rng.integers(-(10**13), 10**13, n).astype(float)
+    if kind == "halfway":  # (k + 0.5) * 10**j rounded once, k of 12 digits: 13 ending in 5
+        half = rng.integers(10**11, 10**12, n) + 0.5
+        j = rng.integers(-20, 18, n)
+        return np.where(j < 0, half / 10.0 ** np.abs(j), half * 10.0 ** j)
+    if kind == "powers of ten":
+        p = np.array([float(f"1e{i}") for i in range(-20, 30)])
+        p = np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)])
+        return np.concatenate([p, -p, [0.0, -0.0, 999999999999.5, -999999999999.5]])
+    raise ValueError(kind)
+
+
+G_KINDS = ("phase", "db", "ri", "log-spread", "bit patterns", "whole numbers", "halfway",
+           "powers of ten")
+
+
+@pytest.mark.parametrize("seed, kind", list(enumerate(G_KINDS)), ids=G_KINDS)
+def test_format_rows_prints_every_value_as_cpython(seed, kind):
+    """About 1.05M values in all, every class of the vectorized path and of its fallback."""
+    x = g_values(kind, np.random.default_rng(seed))
+    got = _format_rows("%.12g\n", x).split("\n")[:-1]
+    expected = ["%.12g" % v for v in x.tolist()]
+    if got != expected:
+        i = next(i for i, (a, b) in enumerate(zip(got, expected)) if a != b)
+        pytest.fail(f"{x[i]!r}: got {got[i]!r}, expected {expected[i]!r}")
+
+
+@property_settings
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=20))
+def test_format_rows_prints_any_float_as_cpython(values):
+    rows = zip(values, values[::-1])
+    assert _format_rows("%.12g %.12g\n", values, values[::-1]) == "".join(
+        "%.12g %.12g\n" % row for row in rows)
+
+
+def random_gamma(rng, shape):
+    return rng.uniform(0.0, 1.0, shape) * np.exp(1j * rng.uniform(-np.pi, np.pi, shape))
+
+
+# Rows per block of each writer: its fields formatted per row (a state CSV row
+# holds frequency text, the state label, dB and angle).
+@pytest.mark.parametrize("offset", (-1, 0, 1), ids=("block-1", "block", "block+1"))
+def test_writers_match_per_row_oracles_at_block_edges(offset):
+    rng = np.random.default_rng(26 + offset)
+    n = _block_rows(4) + offset
+    profile = ReflectionProfile((3,), 3e9 + 1e5 * np.arange(n), random_gamma(rng, (1, n)))
+    assert dump_state_csv(profile, ("x",)) == oracle_dump_state_csv(profile, ("x",))
+
+    n = _block_rows(9) + offset
+    net = PortNetwork(2, 50.0, 3e9 + 1e5 * np.arange(n), random_gamma(rng, (n, 2, 2)))
+    for fmt in ("RI", "MA", "DB"):
+        assert serialize_touchstone(net, fmt, "GHz") == oracle_serialize_touchstone(
+            net, fmt, "GHz")
+
+    n = _block_rows(3) + offset
+    sweep = Sweep(1e9 + 1e6 * np.arange(n), random_gamma(rng, n))
+    assert dump_sweep_csv(sweep, ("c",)) == oracle_dump_sweep_csv(sweep, ("c",))
+    sigma = rng.uniform(0.0, 40.0, n)
+    report = BandwidthReport(sweep.frequencies, sigma, np.log2(360.0 / (np.sqrt(12.0) * sigma)),
+                             65.0, None, 0.0, sigma)
+    assert report.to_csv() == oracle_bandwidth_csv(report)
+
+
+def test_state_csv_writer_names_the_first_overflow_in_a_later_block():
+    n_freqs = 300  # 8 states: 2400 rows, the second block starts in state 6
+    assert 6 * n_freqs < _block_rows(4) < 7 * n_freqs
+    gamma = random_gamma(np.random.default_rng(7), (8, n_freqs))
+    gamma[7, 0] = OVER
+    gamma[6, n_freqs - 1] = OVER2  # the first overflow in the writer's order
+    profile = ReflectionProfile(tuple(range(8)), 3e9 + 1e5 * np.arange(n_freqs), gamma)
+    expected = outcome(oracle_dump_state_csv, profile)
+    assert expected[1].startswith(f"state 6 at {profile.frequencies[-1]} Hz")
+    assert outcome(dump_state_csv, profile) == expected
 
 
 @pytest.fixture(scope="module")

@@ -72,6 +72,15 @@ MUTANTS = [
      "if sin_t[:m].tobytes() != (-sin_t[::-1][:m]).tobytes():", "if False:", ""),
     ("steering build copies mirrored theta rows unconjugated", "src/risnet/array.py",
      "np.conjugate(out[::-1][:m], out=out[:m])", "out[:m] = out[::-1][:m]", ""),
+    ("%.12g writer near-half margin 1e-3 -> 1e-9", "src/risnet/touchstone.py",
+     "(np.abs(frac - 0.5) >= 1e-3)", "(np.abs(frac - 0.5) >= 1e-9)",
+     "equivalent: the scaled value is one correctly rounded product, and n + 0.5 is exact "
+     "below 2**40, so it never lands past n + 0.5 from the exact product; only a fraction of "
+     "exactly 0.5 is unsafe, and any margin above 0 still sends it to the fallback"),
+    ("%.12g writer near-half fallback dropped", "src/risnet/touchstone.py",
+     "(np.abs(frac - 0.5) >= 1e-3)", "(np.abs(frac - 0.5) >= 0)", ""),
+    ("%.12g writer fast path up to 1e300", "src/risnet/touchstone.py",
+     "fast = (a >= 1e-10) & (a < 1e30)", "fast = (a >= 1e-10) & (a < 1e300)", ""),
     ("readers always number lines by range", "src/risnet/touchstone.py",
      "if first + len(kept) == len(lines):", "if True:", ""),
     ("CLI gain warning tolerance 1e-6 -> 1e-5", "src/risnet/cli.py",
