@@ -7,6 +7,8 @@ write to stdout or stderr), 4 numerical failure.
 
 Every subcommand reads or writes through ``touchstone``; each imports the
 other modules it runs where it runs them, so a process loads only those.
+After its outputs, a subcommand warns once per input with a |gamma| or a
+``PortNetwork.sigma_max()`` past 1 + ``touchstone.GAIN_TOLERANCE`` (not passive).
 A process started as ``risnet`` or ``python -m risnet.cli`` enters through
 ``run``, which flushes stdout and stderr and leaves through ``os._exit``
 without tearing the interpreter down; ``main`` called in-process returns
@@ -42,11 +44,6 @@ DEFAULT_F_CENTER = 3.6e9
 MAX_TILES = 64
 MAX_THETA_POINTS = 20_001
 MAX_BAND_POINTS = 10_001
-
-# A passive surface reflects at most what falls on it: a profile |gamma| or an
-# S-matrix's largest singular value above 1 + this is flagged as nonphysical
-# (and a 0 dB profile or a lossless network is not).
-GAIN_TOLERANCE = 1e-6
 
 
 def _read_text(path: str) -> str:
@@ -122,61 +119,35 @@ def _render(pairs, fmt: str) -> str:
     return "".join(_text_lines(pairs))
 
 
-def _warn_if_active(profile: touchstone.ReflectionProfile) -> None:
-    """Write one ``warning:`` line on stderr if a |gamma| exceeds 1 + GAIN_TOLERANCE.
+def _warn_nonphysical(mag: np.ndarray, what: str, where, unit: str) -> None:
+    """Write one ``warning:`` line on stderr if a value of ``mag`` exceeds 1 + GAIN_TOLERANCE.
 
-    The line names the largest |gamma|, its state and frequency, and how many
-    entries are above the limit. A command calls it once its outputs are
-    written, so a command that fails prints only its ``error:`` line.
+    The line gives ``what``, its largest value, ``where(k)`` for that value's
+    flat index k, and how many ``unit`` are past the limit. A command calls it
+    once its outputs are written, so a command that fails prints only its
+    ``error:`` line.
     """
-    mag = np.abs(profile.gamma)
-    above = int(np.count_nonzero(mag > 1.0 + GAIN_TOLERANCE))
+    above = int(np.count_nonzero(mag > 1.0 + touchstone.GAIN_TOLERANCE))
     if above:
-        i, k = np.unravel_index(np.argmax(mag), mag.shape)
+        k = int(np.argmax(mag))
         sys.stderr.write(
-            f"warning: nonphysical profile: |gamma| {_fmt(float(mag[i, k]))} > 1 at state "
-            f"{profile.states[i]}, {_fmt(float(profile.frequencies[k]))} Hz "
-            f"({above} of {mag.size} entries above 1 + {GAIN_TOLERANCE:g})\n"
+            f"warning: nonphysical {what} {_fmt(float(mag.flat[k]))} > 1 at {where(k)} Hz "
+            f"({above} of {mag.size} {unit} above 1 + {touchstone.GAIN_TOLERANCE:g})\n"
         )
 
 
-def _sigma_max(s: np.ndarray) -> np.ndarray:
-    """The largest singular value of each 2x2 matrix of ``s`` (n_points, 2, 2).
-
-    In closed form, sigma_max^2 = (|S|_F^2 + sqrt(|S|_F^4 - 4 |det S|^2)) / 2.
-    With p and r the squared norms of the two columns and q their inner
-    product, |S|_F^2 = p + r and the root's argument is (p - r)^2 + 4 |q|^2, a
-    sum that does not cancel when the two singular values are close (a lossless
-    network has both at 1). It is computed on the matrix divided by its largest
-    real or imaginary part, so that no square overflows; a sigma_max past the
-    float range reads inf.
-    """
-    scale = np.max(np.maximum(np.abs(s.real), np.abs(s.imag)), axis=(1, 2))
-    d = np.where(scale > 0, scale, 1.0)[:, None, None]
-    u = s.real / d + 1j * (s.imag / d)  # a complex division by a subnormal d overflows
-    p, r = np.sum(u.real**2 + u.imag**2, axis=1).T
-    q = np.sum(np.conj(u[:, :, 0]) * u[:, :, 1], axis=1)
-    with np.errstate(over="ignore"):
-        return scale * np.sqrt((p + r + np.hypot(p - r, 2.0 * np.abs(q))) / 2.0)
+def _warn_if_active(p: touchstone.ReflectionProfile) -> None:
+    """:func:`_warn_nonphysical` on the |gamma| of profile ``p``, naming state and frequency."""
+    f = p.frequencies
+    _warn_nonphysical(np.abs(p.gamma), "profile: |gamma|",
+                      lambda k: f"state {p.states[k // f.size]}, {_fmt(float(f[k % f.size]))}",
+                      "entries")
 
 
 def _warn_if_not_passive(net: touchstone.PortNetwork, name: str) -> None:
-    """Write one ``warning:`` line on stderr if input ``name``'s 2-port S-data is not passive.
-
-    Not passive means sigma_max, the largest singular value of S, above
-    1 + GAIN_TOLERANCE at some frequency. The line names the input, the worst
-    frequency and its sigma_max, and how many points are above the limit. As
-    with :func:`_warn_if_active`, a command calls it once its outputs are written.
-    """
-    sigma = _sigma_max(net.s)
-    above = int(np.count_nonzero(sigma > 1.0 + GAIN_TOLERANCE))
-    if above:
-        k = int(np.argmax(sigma))
-        sys.stderr.write(
-            f"warning: nonphysical S-data in {name}: sigma_max {_fmt(float(sigma[k]))} > 1 at "
-            f"{_fmt(float(net.frequencies[k]))} Hz ({above} of {sigma.size} points above "
-            f"1 + {GAIN_TOLERANCE:g})\n"
-        )
+    """:func:`_warn_nonphysical` on the sigma_max of input ``name``'s 2-port S-data."""
+    _warn_nonphysical(net.sigma_max(), f"S-data in {name}: sigma_max",
+                      lambda k: _fmt(float(net.frequencies[k])), "points")
 
 
 def _line_from_args(args, f_center: float, needed_by: str):

@@ -57,6 +57,10 @@ _DB_FLOOR = -600.0
 
 _MAX_STATE = 2**31
 
+# A passive surface reflects at most what falls on it: a |gamma| or a sigma_max
+# above 1 + this is nonphysical (and a 0 dB profile or a lossless network is not).
+GAIN_TOLERANCE = 1e-6
+
 
 @dataclass(frozen=True)
 class PortNetwork:
@@ -99,6 +103,26 @@ class PortNetwork:
     def f_max(self) -> float:
         return float(self.frequencies[-1])
 
+    def sigma_max(self) -> np.ndarray:
+        """The largest singular value of S at each frequency, of a 2-port only.
+
+        In closed form, sigma_max^2 = (|S|_F^2 + sqrt(|S|_F^4 - 4 |det S|^2)) / 2.
+        With p and r the squared norms of the two columns and q their inner
+        product, the root's argument is (p - r)^2 + 4 |q|^2, which does not cancel
+        when the two singular values are close (a lossless network has both at 1).
+        S is first divided by its largest real or imaginary part, so no square
+        overflows; a value past the float range reads inf.
+        """
+        _require_ports(self, 2)
+        s = self.s
+        scale = np.max(np.maximum(np.abs(s.real), np.abs(s.imag)), axis=(1, 2))
+        d = np.where(scale > 0, scale, 1.0)[:, None, None]
+        u = s.real / d + 1j * (s.imag / d)  # a complex division by a subnormal d overflows
+        p, r = np.sum(u.real**2 + u.imag**2, axis=1).T
+        q = np.sum(np.conj(u[:, :, 0]) * u[:, :, 1], axis=1)
+        with np.errstate(over="ignore"):
+            return scale * np.sqrt((p + r + np.hypot(p - r, 2.0 * np.abs(q))) / 2.0)
+
 
 @dataclass(frozen=True)
 class ReflectionProfile:
@@ -117,8 +141,7 @@ class ReflectionProfile:
         states = tuple(int(s) for s in self.states)
         gamma = np.asarray(self.gamma, dtype=complex)
         n = len(states)
-        if n < 1 or (n & (n - 1)) != 0:
-            raise InputDataError("state count must be a power of two")
+        _require_power_of_two(n, InputDataError)
         if len(set(states)) != n:
             raise InputDataError("duplicate state labels")
         if list(states) != sorted(states):
@@ -174,6 +197,12 @@ def _require_in_sweep(sweep_f: np.ndarray, f) -> None:
     if np.any(outside):
         f_out, lo, hi = float(f[np.argmax(outside)]), float(sweep_f[0]), float(sweep_f[-1])
         raise FrequencyRangeError(f"frequency {f_out} Hz not contained in sweep [{lo}, {hi}] Hz")
+
+
+def _require_power_of_two(n: int, error) -> None:
+    """Raise ``error`` unless the state count ``n`` is a power of two (1 included)."""
+    if n < 1 or n & (n - 1):
+        raise error(f"state count {n} is not a power of two")
 
 
 def _require_ports(net: PortNetwork, n: int) -> None:
@@ -640,8 +669,7 @@ def load_state_csv(text: str) -> ReflectionProfile:
             f"({missing.size} missing pairs in total)"
         )
     n = states.size
-    if n & (n - 1):
-        raise StateCsvError(f"state count {n} is not a power of two")
+    _require_power_of_two(n, StateCsvError)
     with np.errstate(all="ignore"):  # inf or overflowing values; rejected by line below
         gamma_rows = _pairs_to_complex(rows["mag_db"], rows["phase_deg"], "db")
     _reject_rows(~np.isfinite(gamma_rows), StateCsvError, "gamma entries must be finite", line_nos)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import risnet.array
 import risnet.loads
-from risnet import cli, metrics
+from risnet import cli, metrics, touchstone
 from risnet.gating import dump_sweep_csv, load_sweep_csv, synth_multipath
 from risnet.loads import MicrostripLine, StubNetworkDesign, StubState, ideal_sp8t_design
 from risnet.touchstone import PortNetwork, load_state_csv
@@ -431,12 +431,28 @@ def write_s_data(path, rows, n_ports=2):
 def test_sigma_max_equals_the_largest_singular_value(parts, scale):
     s = scale * (np.array(parts[:4]) + 1j * np.array(parts[4:])).reshape(1, 2, 2)
     want = np.linalg.svd(s, compute_uv=False)[:, 0]
-    np.testing.assert_allclose(cli._sigma_max(s), want, rtol=1e-12, atol=1e-15 * scale)
+    sigma = PortNetwork(2, 50.0, [3.6e9], s).sigma_max()
+    np.testing.assert_allclose(sigma, want, rtol=1e-12, atol=1e-15 * scale)
 
 
 def test_sigma_max_past_the_float_range_reads_inf():
     s = np.full((1, 2, 2), 1.5e308 + 1.5e308j)
-    assert cli._sigma_max(s).tolist() == [math.inf]
+    assert PortNetwork(2, 50.0, [3.6e9], s).sigma_max().tolist() == [math.inf]
+
+
+ANGLE = st.floats(-math.pi, math.pi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ANGLE, ANGLE, ANGLE, ANGLE, ANGLE, st.floats(1e-150, 1e150))
+def test_sigma_max_of_a_scaled_unitary_is_the_scale(theta, alpha, beta, phi, psi, scale):
+    a, b = math.cos(theta) * np.exp(1j * alpha), math.sin(theta) * np.exp(1j * beta)
+    unitary = np.exp(1j * phi) * np.array([[a, b], [-np.conj(b), np.conj(a)]])
+    c = scale * np.exp(1j * psi)
+    sigma = PortNetwork(2, 50.0, [3.6e9, 3.7e9], [unitary, c * unitary]).sigma_max()
+    # A lossless 2-port stays inside the tolerance, so parse never warns on one.
+    assert sigma[0] <= 1.0 + touchstone.GAIN_TOLERANCE
+    np.testing.assert_allclose(sigma, [1.0, abs(c)], rtol=1e-12)
 
 
 @pytest.mark.parametrize("excess, warns", [(0.5e-6, False), (2e-6, True)])

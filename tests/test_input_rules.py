@@ -269,6 +269,10 @@ def design_json(states):
      "unknown format 'XY' (use RI, MA or DB)"),
     (lambda: serialize_touchstone(thru_switch(), "RI", "THz"), ValueError,
      "unknown frequency unit 'THz'"),
+    (lambda: ReflectionProfile((0, 1, 2), GRID, np.ones((3, GRID.size))), InputDataError,
+     "state count 3 is not a power of two"),
+    (lambda: one_port_switch().sigma_max(), InputDataError,
+     "need a 2-port network, got 1 ports"),
     (lambda: ReflectionProfile((0, 0), GRID, np.ones((2, GRID.size))), InputDataError,
      "duplicate state labels"),
     (lambda: ReflectionProfile((1, 0), GRID, np.ones((2, GRID.size))), InputDataError,
@@ -295,10 +299,11 @@ def design_json(states):
      "design JSON: 'states[0]' must be an object"),
 ], ids=["state_csv_no_rows", "touchstone_no_records", "option_duplicate_unit",
         "option_r_without_value", "option_bad_r", "serialize_format", "serialize_unit",
-        "profile_duplicate_labels", "profile_unsorted_labels", "profile_gamma_shape",
-        "profile_empty_grid", "sweep_length_mismatch", "stub_termination", "stub_negative_length",
-        "circular_gaps_nan", "two_port_point_nan", "layout_pitch", "state_map_range",
-        "design_json_document", "design_json_state"])
+        "profile_state_count", "sigma_max_1_port", "profile_duplicate_labels",
+        "profile_unsorted_labels", "profile_gamma_shape", "profile_empty_grid",
+        "sweep_length_mismatch", "stub_termination", "stub_negative_length", "circular_gaps_nan",
+        "two_port_point_nan", "layout_pitch", "state_map_range", "design_json_document",
+        "design_json_state"])
 def test_each_rule_raises_its_class_and_message(call, error, message):
     with pytest.raises(error) as exc:
         call()

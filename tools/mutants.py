@@ -83,8 +83,10 @@ MUTANTS = [
      "fast = (a >= 1e-10) & (a < 1e30)", "fast = (a >= 1e-10) & (a < 1e300)", ""),
     ("readers always number lines by range", "src/risnet/touchstone.py",
      "if first + len(kept) == len(lines):", "if True:", ""),
-    ("CLI gain warning tolerance 1e-6 -> 1e-5", "src/risnet/cli.py",
+    ("gain warning tolerance 1e-6 -> 1e-5", "src/risnet/touchstone.py",
      "GAIN_TOLERANCE = 1e-6", "GAIN_TOLERANCE = 1e-5", ""),
+    ("sigma_max divides S by a subnormal scale as complex", "src/risnet/touchstone.py",
+     "u = s.real / d + 1j * (s.imag / d)", "u = s / d", ""),
     ("CLI imports every module at module level", "src/risnet/cli.py",
      "from . import touchstone\n",
      "from . import array, gating, loads, metrics, network, touchstone\n", ""),
