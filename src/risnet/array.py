@@ -86,9 +86,14 @@ class ArrayLayout:
 
     def cell_positions(self) -> tuple:
         """(x, y) cell-center coordinate arrays, each shaped (cells_y, cells_x)."""
-        cols = (np.arange(self.cells_x) + 0.5 - self.cells_x / 2.0) * self.pitch_x
-        rows = (np.arange(self.cells_y) + 0.5 - self.cells_y / 2.0) * self.pitch_y
-        return np.meshgrid(cols, rows)
+        return np.meshgrid(*_cell_axes(self))
+
+
+def _cell_axes(layout: ArrayLayout) -> tuple:
+    """The cell-center x of each column and y of each row, 1-D."""
+    cols = (np.arange(layout.cells_x) + 0.5 - layout.cells_x / 2.0) * layout.pitch_x
+    rows = (np.arange(layout.cells_y) + 0.5 - layout.cells_y / 2.0) * layout.pitch_y
+    return cols, rows
 
 
 def build_array(tiles_x: int, tiles_y: int, resolution_bits: int) -> ArrayLayout:
@@ -132,15 +137,18 @@ def steering_codebook(layout: ArrayLayout, gamma_states, direction, f: float) ->
         raise ValueError(f"phi_az_deg must be finite, got {phi_az_deg}")
     theta = np.deg2rad(theta_deg)
     phi = np.deg2rad(phi_az_deg)
-    x, y = layout.cell_positions()
-    psi = np.rad2deg(-k0 * np.sin(theta) * (x * np.cos(phi) + y * np.sin(phi))) % 360.0
+    x, y = _cell_axes(layout)
+    psi = np.rad2deg(-k0 * np.sin(theta) * (x * np.cos(phi) + y[:, np.newaxis] * np.sin(phi)))
+    psi %= 360.0
 
     # States on axis 0, so the wrap runs on whole (cells_y, cells_x) planes
     # and min reduces plane by plane. psi lies in [0, 360] (the % can round
     # up to 360) and np.angle in [-180, 180], so v = d + 180, d = psi - angle,
     # lies in [0, 720]. There v - 360 is exact (Sterbenz) and equals v % 360
     # wherever v >= 360, except at v = 720, where % gives 0; 0 and 360 are
-    # both 180 from 180, so |v - 180| keeps the bits of |_wrap180(d)|.
+    # both 180 from 180, so |v - 180| keeps the bits of |_wrap180(d)|. (The
+    # equal min(|v - 180|, |v - 540|) needs a second states x cells array,
+    # which costs more than the masked subtract on a 24x24-tile wall.)
     v = psi - np.angle(gamma_states, deg=True)[:, np.newaxis, np.newaxis]
     v += 180.0
     np.subtract(v, 360.0, out=v, where=v >= 360.0)
@@ -187,14 +195,14 @@ def _steering_matrices(layout: ArrayLayout, k0: float, theta: bytes, phi: bytes)
     centre row is always computed.
     """
     theta, phi = np.frombuffer(theta), np.frombuffer(phi)
-    x, y = layout.cell_positions()
+    x, y = _cell_axes(layout)
     sin_t = np.sin(theta)
     m = sin_t.size // 2
     if sin_t[:m].tobytes() != (-sin_t[::-1][:m]).tobytes():
         m = 0
     sin_t = sin_t[:, np.newaxis]
-    a_x = _steering_vectors(sin_t * np.cos(phi), x[0], k0, m)
-    a_y = _steering_vectors(sin_t * np.sin(phi), y[:, 0], k0, m)
+    a_x = _steering_vectors(sin_t * np.cos(phi), x, k0, m)
+    a_y = _steering_vectors(sin_t * np.sin(phi), y, k0, m)
     a_x.flags.writeable = a_y.flags.writeable = False
     return a_x, a_y
 

@@ -306,6 +306,22 @@ def ideal_sp8t_design(line: MicrostripLine, f_center: float) -> StubNetworkDesig
     return StubNetworkDesign(states=tuple(states), line=line, switch=None)
 
 
+def _squared_wrap(phase_deg: np.ndarray, target_deg) -> np.ndarray:
+    """``_wrap180(phase_deg - target_deg) ** 2`` bit for bit, without ``np.remainder``.
+
+    Phases lie in [-180, 180] and targets in [0, 315], so v = (phase - target)
+    + 180 lies in [-315, 360]. There ``v % 360`` is v itself, except below 0,
+    where it is v + 360 rounded once, and at 360, where it is 0. Only the
+    first exception needs a correction: 360 - 180 and 0 - 180 differ only in
+    sign, which the square removes.
+    """
+    v = phase_deg - target_deg
+    v += 180.0
+    v += 360.0 * (v < 0.0)  # v + 0.0 is v
+    v -= 180.0
+    return v * v
+
+
 def synthesize_stub_lengths(
     switch: PortNetwork | None,
     line: MicrostripLine,
@@ -324,6 +340,10 @@ def synthesize_stub_lengths(
     the two neighbours of the best one, until all are narrower than
     lambda_g/2 * 1e-9; one objective call serves all eight states per scan,
     and a bracket that is narrow enough keeps narrowing until all are.
+    States that share a termination share the coarse scan's stubs, so it
+    cascades each termination once; after the first rescan, each rescan
+    evaluates only its 7 interior lengths and reuses the objective at its
+    ends, which the rescan before it evaluated at the same floats.
 
     Each state's ``residual_deg`` is the phase error of the design's own
     :func:`sp8t_load_profile` at ``f_center``; for an ideal switch and
@@ -355,29 +375,53 @@ def synthesize_stub_lengths(
 
     s_grid = None if switch is None else interp_s(switch, grid)
     terms = [_lossless_solution_deg(target)[0] for target in SP8T_TARGETS_DEG]
-    signs = np.array([_SIGN[term] for term in terms])
+    kinds = [TERMINATIONS.index(term) for term in terms]  # each state's termination
     targets = np.array(SP8T_TARGETS_DEG)
     rows = np.arange(8)
 
-    def objective(lengths) -> np.ndarray:
-        """Weighted mean-square wrapped phase error (states x lengths) on the band grid."""
+    def phases(signs, lengths, states) -> np.ndarray:
+        """Realized phases (degrees) of the stubs ``signs`` x rows of ``lengths`` on the band grid.
+
+        ``states`` names each row's state in a cascade error.
+        """
         g = _stub_bank(signs, lengths[..., None], grid, line)
         if s_grid is not None:
-            g = cascade(s_grid, g, lambda ijk: f"state {ijk[0]} at {grid[ijk[2]]} Hz")
-        return np.sum(w * _wrap180(np.angle(g, deg=True) - targets[:, None, None]) ** 2, axis=2)
+            g = cascade(s_grid, g, lambda ijk: f"state {states[ijk[0]]} at {grid[ijk[2]]} Hz")
+        return np.angle(g, deg=True)
+
+    def objective(phase) -> np.ndarray:
+        """Weighted mean-square wrapped phase error (states x lengths) of band-grid ``phase``."""
+        return np.sum(w * _squared_wrap(phase, targets[:, None, None]), axis=2)
 
     period = guided_wavelength(line, f_center) / 2.0
     coarse = np.linspace(0.0, period, _COARSE_POINTS, endpoint=False)
+    # States with one termination see the same stubs, so the coarse scan runs
+    # once per termination and names the lowest state of a failing one: the
+    # state an (8, 64, F) scan would name first.
+    first = [terms.index(term) for term in TERMINATIONS]
+    signs = np.array([_SIGN[term] for term in TERMINATIONS])
+    k = np.argmin(objective(phases(signs, coarse[None, :], first)[kinds]), axis=1)
     # The coarse scan brackets each minimum by the neighbours of its best
     # point. A rescan keeps two of its 8 intervals, a quarter of the bracket
     # (an eighth at an end), so period*1e-9 is reached in at most 13 rescans.
-    k = np.argmin(objective(coarse[None, :]), axis=1)
     edges = np.append(coarse, period)  # coarse[0] is 0.0, the lowest bound
     a, b = edges[np.maximum(k - 1, 0)], edges[k + 1]
+    signs = signs[kinds]  # now per state
+    steps = np.arange(_ZOOM_POINTS + 1.0)
+    fa = fb = None
     while (b - a > period * 1e-9).any():
-        x = np.linspace(a, b, _ZOOM_POINTS + 1, axis=1)
-        k = np.argmin(objective(x), axis=1)
-        a, b = x[rows, np.maximum(k - 1, 0)], x[rows, np.minimum(k + 1, _ZOOM_POINTS)]
+        # np.linspace(a, b, 9, axis=1) by its own arithmetic: a + i*step, then b.
+        x = a[:, None] + steps * ((b - a) / _ZOOM_POINTS)[:, None]
+        x[:, -1] = b
+        # A later rescan's ends are two points of the one before, so it
+        # evaluates only its 7 interior lengths.
+        if fa is None:
+            f = objective(phases(signs, x, rows))
+        else:
+            f = np.column_stack((fa, objective(phases(signs, x[:, 1:-1], rows)), fb))
+        k = np.argmin(f, axis=1)
+        lo, hi = np.maximum(k - 1, 0), np.minimum(k + 1, _ZOOM_POINTS)
+        a, b, fa, fb = x[rows, lo], x[rows, hi], f[rows, lo], f[rows, hi]
     lengths = ((a + b) / 2.0).tolist()
     design = StubNetworkDesign(tuple(map(StubState, range(8), terms, lengths)), line, switch)
     g = sp8t_load_profile(design, [f_center]).gamma[:, 0]

@@ -8,12 +8,13 @@ files are rejected. The state CSV format (header
 per-switching-state reflection coefficients on a complete state-by-frequency
 grid.
 
-Each reader passes over the text once (:func:`_data_lines`), keeping the lines
-that are neither blank nor comments and their line numbers. It parses the rows
-with one ``np.loadtxt`` call; only where loadtxt refuses them does a per-line
-cast run over the kept lines, which accepts exactly what ``float()`` and
-``int()`` accept and stops at the first faulty line. Every row and table rule
-then runs once, vectorized, and names its line. Writers format their tables
+Each reader finds its header or option line and hands the raw lines after it
+to one ``np.loadtxt`` call. Only where loadtxt refuses them does
+:func:`_data_lines` strip and filter the text, keeping the lines that are
+neither blank nor comments, and then a per-line cast runs over them, which
+accepts exactly what ``float()`` and ``int()`` accept and stops at the first
+faulty line. Every row and table rule then runs once, vectorized, and names
+its line, numbered by :func:`_data_lines` when a rule needs it. Writers format their tables
 with numpy, in blocks of about ``_CHUNK`` values (:func:`_format_rows`,
 :func:`_text_rows`). Each float prints byte for byte as ``'%.12g' %`` prints
 it: in bulk where the rounding is certain (:func:`_g_text`), and through
@@ -283,6 +284,23 @@ def _data_lines(text: str, comment: str) -> tuple:
     return kept, [n for n, s in enumerate(lines, start=1) if s and s[0] != comment]
 
 
+def _head(lines: list, comment: str, start: int = 0):
+    """The index of the first line from ``start`` neither blank nor a ``comment`` line, or None."""
+    return next((i for i in range(start, len(lines))
+                 if (s := lines[i].strip()) and s[0] != comment), None)
+
+
+class _AfterHead:
+    """``_data_lines(text, comment)[part][1:]``, computed only if a rule indexes it."""
+
+    def __init__(self, *args):
+        self.args = args
+
+    def __getitem__(self, i):
+        text, comment, part = self.args
+        return _data_lines(text, comment)[part][1:][i]
+
+
 def _v2_keyword(line: str, line_no: int) -> TouchstoneParseError:
     return TouchstoneParseError(
         f"Touchstone v2 keyword '{line.split()[0]}' not supported (this reader accepts v1 only)",
@@ -318,23 +336,28 @@ def parse_touchstone(text: str) -> PortNetwork:
     they are never reordered. In a 2-port file, a 5-value record whose
     frequency is not above the previous one starts the noise-parameter
     block, which runs to the end of the file with 5 values per record and is
-    skipped. All errors carry the offending line number.
+    skipped. All errors carry the offending line number. The raw lines after
+    the option line go to one ``np.loadtxt`` call; where it refuses them, the
+    data lines of :func:`_data_lines` are read one by one.
     """
-    lines, line_nos = _data_lines(text, "!")
-    if not lines:
+    lines = text.splitlines()
+    head = _head(lines, "!")
+    if head is None:
         raise TouchstoneParseError("missing option line", 1)
-    if lines[0][0] == "[":
-        raise _v2_keyword(lines[0], line_nos[0])
-    if lines[0][0] != "#":
-        raise TouchstoneParseError("data before option line", line_nos[0])
-    option = _parse_option_line(lines[0], line_nos[0])
-    rows, line_nos = lines[1:], line_nos[1:]
-    if not rows:
+    option = lines[head].strip()
+    if option[0] == "[":
+        raise _v2_keyword(option, head + 1)
+    if option[0] != "#":
+        raise TouchstoneParseError("data before option line", head + 1)
+    option = _parse_option_line(option, head + 1)
+    if _head(lines, "!", head + 1) is None:
         raise TouchstoneParseError("no data records", 1)
     try:
-        table = np.loadtxt(rows, comments="!", ndmin=2)
+        table = np.loadtxt(lines[head + 1:], comments="!", ndmin=2)
         values, counts = table.ravel(), np.full(len(table), table.shape[1])
-    except ValueError:  # a ragged table (a noise block) or a spelling only float() reads
+        line_nos = _AfterHead(text, "!", 1)
+    except ValueError:  # a noise block, a v2 keyword or a spelling only float() reads
+        rows, line_nos = (part[1:] for part in _data_lines(text, "!"))
         records = [_touchstone_row(n, line) for n, line in zip(line_nos, rows)]
         values = np.array([v for record in records for v in record])
         counts = np.array([len(record) for record in records], dtype=np.int64)
@@ -563,26 +586,33 @@ def _read_csv(text: str, dtype: np.dtype, error) -> tuple:
     """``(rows, lines, line_nos, fault)`` of a headed CSV text, ``rows`` indexed by field name.
 
     Blank and ``#`` comment lines are skipped. The first other line must be
-    the header, the field names of ``dtype`` (compared after stripping). The
-    data ``lines`` are parsed by one ``np.loadtxt`` call; where it refuses
-    them, :func:`_csv_rows` casts them line by line. ``fault`` is the error of
-    the first line that no cast accepts, unraised, and ``rows`` holds the rows
-    before it; it is None when every line is read.
+    the header, the field names of ``dtype`` (compared after stripping).
+    ``np.loadtxt`` reads the raw lines after it, skipping empty ones. Where it
+    refuses them (a comment or whitespace-only line among them, or a faulty
+    line), it reads the data ``lines`` of :func:`_data_lines`, and where it
+    refuses those, :func:`_csv_rows` casts them line by line. ``fault`` is the
+    error of the first line that no cast accepts, unraised, and ``rows`` holds
+    the rows before it; it is None when every line is read.
     """
-    lines, line_nos = _data_lines(text, "#")
-    if not lines:
+    lines = text.splitlines()
+    head = _head(lines, "#")
+    if head is None:
         raise error("missing header line", 1)
-    names = list(dtype.names)
-    if [f.strip() for f in lines[0].split(",")] != names:
-        raise error(f"expected header '{','.join(names)}', got '{lines[0]}'", line_nos[0])
-    lines, line_nos = lines[1:], line_nos[1:]
-    if not lines:  # loadtxt would warn
-        return np.zeros(0, dtype), lines, line_nos, None
+    header, names = lines[head].strip(), list(dtype.names)
+    if [f.strip() for f in header.split(",")] != names:
+        raise error(f"expected header '{','.join(names)}', got '{header}'", head + 1)
+    if _head(lines, "#", head + 1) is None:  # loadtxt would warn
+        return np.zeros(0, dtype), [], [], None
+    read = lambda rows: np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, ndmin=1)
     try:
-        rows, fault = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1), None
+        return read(lines[head + 1:]), _AfterHead(text, "#", 0), _AfterHead(text, "#", 1), None
+    except ValueError:
+        lines, line_nos = (part[1:] for part in _data_lines(text, "#"))
+    try:
+        return read(lines), lines, line_nos, None
     except ValueError:  # a spelling only float() or int() reads, or a faulty line
         rows, fault = _csv_rows(lines, line_nos, dtype, error)
-    return rows, lines, line_nos, fault
+        return rows, lines, line_nos, fault
 
 
 def _csv_rows(lines: list, line_nos, dtype: np.dtype, error) -> tuple:

@@ -283,6 +283,18 @@ def test_codebook_equals_the_trailing_axis_wrap(wall, theta, phi, f):
     assert residual.tobytes() == ref_residual.tobytes()
 
 
+@settings(deadline=None, max_examples=100)
+@given(wide_walls(), steer_thetas, st.floats(-720.0, 720.0), frequencies)
+def test_codebook_on_the_ideal_ladder_equals_the_trailing_axis_wrap(wall, theta, phi, f):
+    # Evenly spaced states tie wherever psi falls halfway between two of them.
+    layout, _ = wall
+    gammas = IDEAL_3BIT if layout.resolution_bits == 3 else IDEAL_1BIT
+    state_map, residual = steering_codebook(layout, gammas, (theta, phi), f)
+    ref_map, ref_residual = wrap_codebook(layout, gammas, (theta, phi), f)
+    assert np.array_equal(state_map, ref_map)
+    assert residual.tobytes() == ref_residual.tobytes()
+
+
 exponents = st.sampled_from((0.0, 1.0)) | st.floats(0.0, 4.0)
 cut_thetas = st.lists(st.sampled_from((0.0, 90.0, -90.0)) | st.floats(-120.0, 120.0),
                       min_size=1, max_size=40)

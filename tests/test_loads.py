@@ -299,6 +299,17 @@ def test_synthesis_names_the_singular_state_and_frequency():
     assert float(f_hz) in np.linspace(*band, 4)
 
 
+def test_synthesis_names_state_0_when_the_open_termination_is_singular():
+    # S22 = +1 meets the open stub's gamma = +1 at length 0. The coarse scan
+    # cascades each termination once; state 0 is the lowest open state, the
+    # one a scan over all eight states meets first.
+    band = (3.5e9, 3.7e9)
+    switch = thru_switch(np.linspace(3.0e9, 4.0e9, 11), s22=1.0)
+    with pytest.raises(SingularityError) as exc:
+        synthesize_stub_lengths(switch, lossless_line(), F_CENTER, band, n_band_points=4)
+    assert str(exc.value).startswith("cascade singular for state 0 at 3500000000.0 Hz")
+
+
 def test_design_json_roundtrip_ideal():
     design = synthesize_stub_lengths(None, lossless_line(), F_CENTER, (F_CENTER, F_CENTER))
     back = StubNetworkDesign.from_json(design.to_json(f_center_hz=F_CENTER))

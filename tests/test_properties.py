@@ -35,9 +35,14 @@ from risnet.gating import (
 )
 from risnet.array import _wrap180
 from risnet.loads import (
+    _SIGN,
+    SP8T_TARGETS_DEG,
     MicrostripLine,
     StubNetworkDesign,
     StubState,
+    _lossless_solution_deg,
+    _squared_wrap,
+    _stub_bank,
     guided_wavelength,
     ideal_sp8t_design,
     sp8t_load_profile,
@@ -195,6 +200,79 @@ def test_synthesis_residuals_are_the_designs_own_error_at_center(case, f_center,
     for i, state in enumerate(got.states):
         want = np.abs(_wrap180(np.angle(profile.gamma[i], deg=True) - 45 * i))
         assert np.array([state.residual_deg]).tobytes() == want.tobytes()
+
+
+def full_scan_synthesis(switch, line, f_center, band, n_band_points):
+    """(lengths, residuals) of a scan and narrow that repeats its work.
+
+    The coarse scan cascades all eight states, every rescan evaluates its 9
+    np.linspace points, and the phase error is wrapped with np.remainder.
+    """
+    f_lo, f_hi = float(band[0]), float(band[1])
+    grid = np.array([f_lo]) if f_hi == f_lo else np.linspace(f_lo, f_hi, n_band_points)
+    offsets = grid - f_center
+    s2 = float(np.sum(offsets**2))
+    lam = 0.0 if s2 == 0 else -float(np.sum(offsets)) / s2
+    w = np.maximum(1.0 + lam * offsets, 0.0)
+    w = w / np.sum(w)
+    s_grid = None if switch is None else interp_s(switch, grid)
+    terms = [_lossless_solution_deg(target)[0] for target in SP8T_TARGETS_DEG]
+    signs = np.array([_SIGN[term] for term in terms])
+    targets = np.array(SP8T_TARGETS_DEG)
+    rows = np.arange(8)
+
+    def objective(lengths):
+        g = _stub_bank(signs, lengths[..., None], grid, line)
+        if s_grid is not None:
+            g = cascade(s_grid, g, lambda ijk: f"state {ijk[0]} at {grid[ijk[2]]} Hz")
+        return np.sum(w * _wrap180(np.angle(g, deg=True) - targets[:, None, None]) ** 2, axis=2)
+
+    period = guided_wavelength(line, f_center) / 2.0
+    coarse = np.linspace(0.0, period, 64, endpoint=False)
+    k = np.argmin(objective(coarse[None, :]), axis=1)
+    edges = np.append(coarse, period)
+    a, b = edges[np.maximum(k - 1, 0)], edges[k + 1]
+    while (b - a > period * 1e-9).any():
+        x = np.linspace(a, b, 9, axis=1)
+        k = np.argmin(objective(x), axis=1)
+        a, b = x[rows, np.maximum(k - 1, 0)], x[rows, np.minimum(k + 1, 8)]
+    lengths = (a + b) / 2.0
+    design = StubNetworkDesign(tuple(map(StubState, range(8), terms, lengths.tolist())), line,
+                               switch)
+    g = sp8t_load_profile(design, [f_center]).gamma[:, 0]
+    return lengths, np.abs(_wrap180(np.angle(g, deg=True) - targets))
+
+
+@property_settings
+@given(stub_banks(), st.floats(3.4e9, 3.7e9), st.just(0.0) | st.floats(0.0, 0.05),
+       st.integers(2, 40))
+def test_synthesis_equals_a_scan_that_repeats_its_work(case, f_center, half_width,
+                                                       n_band_points):
+    design, _ = case
+    band = (f_center * (1.0 - half_width), f_center * (1.0 + half_width))
+    got = synthesize_stub_lengths(design.switch, design.line, f_center, band, n_band_points)
+    lengths, residuals = full_scan_synthesis(design.switch, design.line, f_center, band,
+                                             n_band_points)
+    assert np.array([s.length_m for s in got.states]).tobytes() == lengths.tobytes()
+    assert np.array([s.residual_deg for s in got.states]).tobytes() == residuals.tobytes()
+
+
+# Phases at the ends of np.angle's range, signed zeros, and the phases just
+# below target - 180, where (d + 180) % 360 rounds v + 360 up to 360.
+wrap_phases = st.one_of(
+    st.sampled_from([180.0, -180.0, 0.0, -0.0, 5e-324, -5e-324]
+                    + [float(np.nextafter(t - 180.0, -np.inf)) for t in (45.0, 90.0, 315.0)]
+                    + [float(np.nextafter(t - 180.0, np.inf)) for t in (45.0, 90.0, 315.0)]),
+    st.floats(-180.0, 180.0),
+)
+
+
+@property_settings
+@given(st.lists(wrap_phases, min_size=1, max_size=16))
+def test_squared_wrap_equals_the_remainder_wrap(phases):
+    phase = np.array(phases)[np.newaxis, :]
+    targets = np.array(SP8T_TARGETS_DEG)[:, np.newaxis]
+    assert _squared_wrap(phase, targets).tobytes() == (_wrap180(phase - targets) ** 2).tobytes()
 
 
 @st.composite
@@ -889,6 +967,82 @@ def test_touchstone_reader_matches_per_line_path(text):
         # a non-increasing 5-value record after 2-port data now starts a noise block
         return
     assert_same_outcome(got, expected)
+
+
+# Spaces that str.strip() and loadtxt both skip, and lines a hand-edited file holds.
+pads = st.sampled_from(("", " ", "\t", "\xa0", "\u2003", "\u3000"))
+FAULTS = ("x", "-1", "-0", "nan", "inf", "1e999", "1_0", "", "3e9 3e9")
+
+
+@st.composite
+def decorated_texts(draw):
+    """(kind, text): a state CSV, sweep CSV or Touchstone text, dressed as edited by hand.
+
+    It may hold leading comments, comment and whitespace-only lines between
+    rows, empty lines before a faulty row, CRLF line ends, inline comments and
+    Unicode whitespace around fields.
+    """
+    kind = draw(st.sampled_from(("state", "sweep", "touchstone")))
+    comment = "!" if kind == "touchstone" else "#"
+    if kind == "state":
+        head, sep = STATE_CSV_HEADER, ","
+        n_states, n_freqs = draw(st.sampled_from((1, 2, 4))), draw(st.integers(1, 4))
+        rows = [[f"{3e9 + 1e6 * k:.12g}", str(s), f"{draw(st.floats(-80, 10)):.12g}",
+                 f"{draw(angles):.12g}"] for s in range(n_states) for k in range(n_freqs)]
+    elif kind == "sweep":
+        head, sep = SWEEP_CSV_HEADER, ","
+        rows = [[f"{1e9 + 1e6 * k:.12g}", f"{draw(unit):.12g}", f"{draw(unit):.12g}"]
+                for k in range(draw(st.integers(8, 12)))]
+    else:
+        head, sep = draw(st.sampled_from(("# MHz S RI R 50", "# Hz S DB", "#"))), " "
+        n_values = draw(st.sampled_from((3, 9)))
+        rows = [[f"{100 + 10 * k}"] + [f"{draw(unit):.12g}" for _ in range(n_values - 1)]
+                for k in range(draw(st.integers(1, 6)))]
+    lines = [sep.join(draw(pads) + field + draw(pads) for field in row) for row in rows]
+    if draw(st.booleans()):
+        r = draw(st.integers(0, len(rows) - 1))
+        fields = lines[r].split(sep)
+        fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(FAULTS))
+        lines[r] = sep.join(fields)
+        lines[r:r] = [""] * draw(st.integers(0, 2))
+    if draw(st.integers(0, 3)) == 0:
+        lines[draw(st.integers(0, len(lines) - 1))] += f" {comment} inline"
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(
+            ("", "   ", "\t", "\u3000", f"{comment} note, 1", f"  {comment} x"))))
+    lines[:0] = [f"{comment} exported"] * draw(st.integers(0, 2)) + [
+        draw(pads) + head + draw(pads)]
+    end = draw(st.sampled_from(("\n", "\r\n")))
+    return kind, end.join(lines) + draw(st.sampled_from(("", end)))
+
+
+READERS = {"state": load_state_csv, "sweep": load_sweep_csv, "touchstone": parse_touchstone}
+
+
+def data_lines_outcome(read, text):
+    """The outcome of ``read(text)`` when loadtxt refuses the raw lines.
+
+    The reader then keeps its data lines with _data_lines and reads them from
+    there, as it does for any text whose raw lines loadtxt refuses.
+    """
+    real, calls = np.loadtxt, []
+
+    def refuse_first(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 1:
+            raise ValueError("refused")
+        return real(*args, **kwargs)
+
+    with mock.patch.object(np, "loadtxt", refuse_first):
+        return outcome(read, text)
+
+
+@settings(deadline=None, max_examples=300)
+@given(decorated_texts())
+def test_readers_give_the_data_lines_outcome_from_raw_lines(case):
+    kind, text = case
+    read = READERS[kind]
+    assert_same_outcome(outcome(read, text), data_lines_outcome(read, text))
 
 
 # Values that stress the "%.12g" writers: zeros of both signs, the -600 dB floor

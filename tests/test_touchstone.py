@@ -259,6 +259,25 @@ def test_load_state_csv_errors_name_the_line(bad_row, line, fragment):
     assert exc.value.line == line
 
 
+@pytest.mark.parametrize("bad_row, fragment", [
+    ("1e9,0,0,0", "duplicate row for state 0 at 1000000000.0 Hz"),
+    ("1e9,-1,0,0", "negative state index -1"),
+    ("1e9,2147483648,0,0", "state index 2147483648 out of range"),
+    ("inf,1,0,0", "non-finite frequency inf"),
+    ("-1e9,1,0,0", "frequencies must be non-negative"),
+])
+def test_row_rules_name_the_line_when_loadtxt_reads_the_raw_lines(monkeypatch, bad_row,
+                                                                  fragment):
+    # Only empty lines follow the header, so loadtxt reads the raw lines and
+    # the rules number them from the text itself.
+    monkeypatch.setattr(touchstone, "_csv_rows", None)  # calling it would raise TypeError
+    rows = ("# c", touchstone.STATE_CSV_HEADER, "", "1e9,0,0,0", "", bad_row, "2e9,1,0,0", "")
+    text = "\r\n".join(rows)
+    with pytest.raises(StateCsvError) as exc:
+        load_state_csv(text)
+    assert exc.value.line == 6 and str(exc.value) == f"line 6: {fragment}"
+
+
 def test_load_state_csv_row_order_is_free():
     rows = [f"{f:.12g},{s},{-s},{10 * s + f / 1e9}" for s in range(4) for f in (1e9, 2e9, 3e9)]
     ordered = load_state_csv(state_csv(rows))

@@ -49,6 +49,14 @@ MUTANTS = [
      "SINGULARITY_TOL = 1e-12", "SINGULARITY_TOL = 1e-9", ""),
     ("_WINDOW_FLOOR 1e-3 -> 1e-2", "src/risnet/gating.py",
      "_WINDOW_FLOOR = 1e-3", "_WINDOW_FLOOR = 1e-2", ""),
+    ("synthesis rescan reuses its end objectives swapped", "src/risnet/loads.py",
+     "np.column_stack((fa, objective(phases(signs, x[:, 1:-1], rows)), fb))",
+     "np.column_stack((fb, objective(phases(signs, x[:, 1:-1], rows)), fa))", ""),
+    ("synthesis phase wrap without its below-zero correction", "src/risnet/loads.py",
+     "    v += 360.0 * (v < 0.0)  # v + 0.0 is v\n", "", ""),
+    ("state CSV fast path skips the negative-state rule", "src/risnet/touchstone.py",
+     "bad = (state < 0) | (state >= _MAX_STATE)",
+     "bad = (state < 0) & isinstance(lines, list) | (state >= _MAX_STATE)", ""),
     ("_COARSE_POINTS 64 -> 32", "src/risnet/loads.py",
      "_COARSE_POINTS = 64", "_COARSE_POINTS = 32",
      "moves synthesized lengths by about 1e-11 m, inside the search tolerance; only the "
