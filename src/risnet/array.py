@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputDataError
-from .touchstone import C0, _wrap180
+from .touchstone import C0
 
 CELLS_PER_TILE_SIDE = 4
 DEFAULT_PITCH_X = 0.060

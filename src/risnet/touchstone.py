@@ -8,17 +8,17 @@ files are rejected. The state CSV format (header
 per-switching-state reflection coefficients on a complete state-by-frequency
 grid.
 
-Each reader finds its header or option line and hands the raw lines after it
-to one ``np.loadtxt`` call. Only where loadtxt refuses them does
-:func:`_data_lines` strip and filter the text, keeping the lines that are
-neither blank nor comments, and then a per-line cast runs over them, which
-accepts exactly what ``float()`` and ``int()`` accept and stops at the first
-faulty line. Every row and table rule then runs once, vectorized, and names
-its line, numbered by :func:`_data_lines` when a rule needs it. Writers format their tables
-with numpy, in blocks of about ``_CHUNK`` values (:func:`_format_rows`,
-:func:`_text_rows`). Each float prints byte for byte as ``'%.12g' %`` prints
-it: in bulk where the rounding is certain (:func:`_g_text`), and through
-``'%.12g' %`` itself where it is not.
+Each reader finds its header or option line and hands the raw lines after it to
+one ``np.loadtxt`` call (a CSV reader skips it when a ``#`` follows its
+header). Where loadtxt refuses the raw lines, :func:`_data_lines` strips and
+filters the text, keeping the lines that are neither blank nor comments, and
+then a per-line cast runs over them, which accepts exactly what ``float()`` and
+``int()`` accept and stops at the first faulty line. Every row and table rule
+then runs once, vectorized, and names its line, numbered by :func:`_data_lines`
+when a rule needs it. Every writer formats its table with numpy in one
+:func:`_format_rows` call, in blocks of about ``_CHUNK`` values, each float
+byte for byte as ``'%.12g' %`` prints it: in bulk where the rounding is certain
+(:func:`_g_text`), and through ``'%.12g' %`` itself where it is not.
 """
 
 from __future__ import annotations
@@ -494,46 +494,33 @@ def _block_rows(n_fields: int) -> int:
     return max(1, _CHUNK // n_fields)
 
 
-def _text_rows(n_rows: int, fields: list) -> str:
-    """``n_rows`` lines, each the concatenation of ``fields``, built in blocks of rows.
+def _format_rows(row_format: str, *columns) -> str:
+    """One ``row_format`` line per row of ``columns``, built in blocks of rows.
 
-    A field is a ``str``, the same in every row; a float array of ``n_rows``
-    values, printed as ``'%.12g' %`` prints them; or a function of a row
-    range ``(start, stop)`` that returns those rows' text as a uint8 matrix of
-    ASCII codes, 0 in the slots a row leaves empty. A block holds
+    ``row_format`` holds one ``%.12g`` or ``%s`` field per column, in order,
+    and ends in a newline; the text between the fields is written as it is. A
+    ``%.12g`` field prints its float exactly as :func:`_fmt` does. A ``%s``
+    field writes its row of a text column: a uint8 matrix of ASCII codes, 0 in
+    the slots a row leaves empty, as :func:`_g_text` returns. A block holds
     :func:`_block_rows` rows, about ``_CHUNK`` values, and formats its floats
     in one :func:`_g_text` call.
     """
-    floats = [f for f in fields if isinstance(f, np.ndarray)]
-    step = _block_rows(len(floats) + sum(map(callable, fields)))
+    first, *fields = row_format.split("%")
+    n_rows, step = len(columns[0]), _block_rows(len(columns))
+    literal = lambda s: np.broadcast_to(np.frombuffer(s.encode(), np.uint8), (n_rows, len(s)))
+    pieces = [literal(first)]  # uint8 text, written as it is, and float columns
+    for field, c in zip(fields, columns):
+        text = field[0] == "s"
+        pieces += [c if text else np.asarray(c, dtype=float), literal(field[1 if text else 4:])]
+    floats = [p for p in pieces if p.dtype == float]
     blocks = []
     for start in range(0, n_rows, step):
         stop = min(start + step, n_rows)
         values = np.stack([f[start:stop] for f in floats], axis=1).ravel()
-        text = iter(_g_text(values).reshape(stop - start, len(floats), _FIELD).transpose(1, 0, 2))
-        parts = []
-        for f in fields:
-            if isinstance(f, str):
-                literal = np.frombuffer(f.encode(), np.uint8)
-                parts.append(np.broadcast_to(literal, (stop - start, literal.size)))
-            else:
-                parts.append(next(text) if isinstance(f, np.ndarray) else f(start, stop))
+        g = iter(_g_text(values).reshape(stop - start, len(floats), _FIELD).transpose(1, 0, 2))
+        parts = [next(g) if p.dtype == float else p[start:stop] for p in pieces]
         blocks.append(np.concatenate(parts, axis=1).tobytes().translate(None, b"\0").decode())
     return "".join(blocks)
-
-
-def _format_rows(row_format: str, *columns) -> str:
-    """One ``row_format`` line per row of ``columns``.
-
-    ``row_format`` holds one ``%.12g`` field per float column, in order, and
-    ends in a newline; the text between the fields is written as it is. A
-    field prints its float exactly as :func:`_fmt` does.
-    """
-    literals = row_format.split("%.12g")
-    fields = [literals[0]]
-    for column, literal in zip(columns, literals[1:]):
-        fields += [np.asarray(column, dtype=float), literal]
-    return _text_rows(len(columns[0]), fields)
 
 
 def _polar_columns(v: np.ndarray, fmt: str, where) -> tuple:
@@ -585,14 +572,14 @@ def serialize_touchstone(net: PortNetwork, format: str = "RI", freq_unit: str = 
 def _read_csv(text: str, dtype: np.dtype, error) -> tuple:
     """``(rows, lines, line_nos, fault)`` of a headed CSV text, ``rows`` indexed by field name.
 
-    Blank and ``#`` comment lines are skipped. The first other line must be
-    the header, the field names of ``dtype`` (compared after stripping).
-    ``np.loadtxt`` reads the raw lines after it, skipping empty ones. Where it
-    refuses them (a comment or whitespace-only line among them, or a faulty
-    line), it reads the data ``lines`` of :func:`_data_lines`, and where it
-    refuses those, :func:`_csv_rows` casts them line by line. ``fault`` is the
-    error of the first line that no cast accepts, unraised, and ``rows`` holds
-    the rows before it; it is None when every line is read.
+    Blank and ``#`` comment lines are skipped. The first other line must be the
+    header, the field names of ``dtype`` (compared after stripping). Unless a
+    ``#`` follows it, ``np.loadtxt`` reads the raw lines after it, skipping
+    empty ones. Where a ``#`` does or loadtxt refuses them, it reads the data
+    ``lines`` of :func:`_data_lines`, and where it refuses those,
+    :func:`_csv_rows` casts them line by line. ``fault`` is the error of the
+    first line that no cast accepts, unraised, and ``rows`` holds the rows
+    before it; it is None when every line is read.
     """
     lines = text.splitlines()
     head = _head(lines, "#")
@@ -604,10 +591,13 @@ def _read_csv(text: str, dtype: np.dtype, error) -> tuple:
     if _head(lines, "#", head + 1) is None:  # loadtxt would warn
         return np.zeros(0, dtype), [], [], None
     read = lambda rows: np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-    try:
-        return read(lines[head + 1:]), _AfterHead(text, "#", 0), _AfterHead(text, "#", 1), None
-    except ValueError:
-        lines, line_nos = (part[1:] for part in _data_lines(text, "#"))
+    if text.find("#", text.find(lines[head])) < 0:  # loadtxt refuses a line with a "#"
+        try:
+            rows = read(lines[head + 1:])
+            return rows, _AfterHead(text, "#", 0), _AfterHead(text, "#", 1), None
+        except ValueError:
+            pass
+    lines, line_nos = (part[1:] for part in _data_lines(text, "#"))
     try:
         return read(lines), lines, line_nos, None
     except ValueError:  # a spelling only float() or int() reads, or a faulty line
@@ -713,12 +703,7 @@ def dump_state_csv(profile: ReflectionProfile, comments: tuple = ()) -> str:
     freqs, n_f = profile.frequencies, profile.frequencies.size
     db, ang = _polar_columns(profile.gamma.ravel(), "db", lambda k: (
         f"state {profile.states[k // n_f]} at {freqs[k % n_f]} Hz"))
-    f_text = _g_text(freqs)
-    labels = np.array([f",{s}," for s in profile.states], dtype=bytes)
-    labels = labels.view(np.uint8).reshape(len(profile.states), -1)
-    body = _text_rows(db.size, [
-        lambda start, stop: f_text[np.arange(start, stop) % n_f],
-        lambda start, stop: labels[np.arange(start, stop) // n_f],
-        db, ",", ang, "\n",
-    ])
+    labels = np.array([[f",{s},"] for s in profile.states], dtype=bytes).view(np.uint8)
+    k = np.arange(db.size)
+    body = _format_rows("%s%s%.12g,%.12g\n", _g_text(freqs)[k % n_f], labels[k // n_f], db, ang)
     return _csv_text(STATE_CSV_HEADER, comments, body)

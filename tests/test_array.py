@@ -11,7 +11,6 @@ from risnet.array import (
     C0,
     ArrayLayout,
     _steering_matrices,
-    _wrap180,
     array_factor,
     build_array,
     led_color,
@@ -21,6 +20,7 @@ from risnet.array import (
     steering_codebook,
 )
 from risnet.errors import InputDataError
+from risnet.touchstone import _wrap180
 
 F = 3.6e9
 IDEAL_3BIT = np.exp(1j * np.deg2rad(np.arange(8) * 45.0))

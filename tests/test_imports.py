@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -128,3 +129,16 @@ def test_running_the_cli_as_a_module_gives_no_runtime_warning():
     assert done.returncode == 0
     assert done.stdout.startswith("usage: risnet")
     assert "RuntimeWarning" not in done.stderr
+
+
+def test_every_imported_name_is_used_in_its_module():
+    unused = []
+    for path in sorted((SRC / "risnet").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = ((alias.asname or alias.name).split(".")[0] for alias in node.names)
+                unused += [f"{path.name}: {name}" for name in bound
+                           if name != "annotations" and name not in used]
+    assert unused == []

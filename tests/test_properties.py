@@ -33,7 +33,6 @@ from risnet.gating import (
     synth_multipath,
     time_gate,
 )
-from risnet.array import _wrap180
 from risnet.loads import (
     _SIGN,
     SP8T_TARGETS_DEG,
@@ -63,8 +62,10 @@ from risnet.touchstone import (
     ReflectionProfile,
     _block_rows,
     _format_rows,
+    _g_text,
     _pairs_to_complex,
     _parse_option_line,
+    _wrap180,
     dump_state_csv,
     load_state_csv,
     parse_touchstone,
@@ -1155,9 +1156,9 @@ def test_format_rows_prints_every_value_as_cpython(seed, kind):
 @property_settings
 @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=20))
 def test_format_rows_prints_any_float_as_cpython(values):
-    rows = zip(values, values[::-1])
-    assert _format_rows("%.12g %.12g\n", values, values[::-1]) == "".join(
-        "%.12g %.12g\n" % row for row in rows)
+    expected = "".join("%.12g %.12g\n" % row for row in zip(values, values[::-1]))
+    assert _format_rows("%.12g %.12g\n", values, values[::-1]) == expected
+    assert _format_rows("%s %.12g\n", _g_text(values), values[::-1]) == expected
 
 
 def random_gamma(rng, shape):
@@ -1169,6 +1170,11 @@ def random_gamma(rng, shape):
 @pytest.mark.parametrize("offset", (-1, 0, 1), ids=("block-1", "block", "block+1"))
 def test_writers_match_per_row_oracles_at_block_edges(offset):
     rng = np.random.default_rng(26 + offset)
+    n = _block_rows(2) + offset
+    a, b = rng.normal(0.0, 1e3, (2, n))
+    assert _format_rows("%s %.12g\n", _g_text(a), b) == "".join(
+        "%.12g %.12g\n" % row for row in zip(a.tolist(), b.tolist()))
+
     n = _block_rows(4) + offset
     profile = ReflectionProfile((3,), 3e9 + 1e5 * np.arange(n), random_gamma(rng, (1, n)))
     assert dump_state_csv(profile, ("x",)) == oracle_dump_state_csv(profile, ("x",))

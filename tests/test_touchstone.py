@@ -372,6 +372,29 @@ def test_a_table_fault_names_its_line_without_a_second_read(monkeypatch, case):
     assert exc.value.line == line and str(exc.value) == f"line {line}: {message}"
 
 
+COMMENTED_CSVS = {
+    "state CSV, comment above the header": (
+        load_state_csv, "# c\n" + touchstone.STATE_CSV_HEADER + "\n1e9,0,0,0\n2e9,0,-1,5\n"),
+    "state CSV, comment at the end": (
+        load_state_csv, touchstone.STATE_CSV_HEADER + "\n1e9,0,0,0\n2e9,0,-1,5\n# end\n"),
+    "sweep CSV, comment mid-table": (gating.load_sweep_csv, "freq_hz,re,im\n" + "".join(
+        f"{k}e9,0.5,{-k / 8}\n" + "  # c\n" * (k == 4) for k in range(1, 10))),
+}
+
+
+@pytest.mark.parametrize("case", COMMENTED_CSVS)
+def test_a_csv_with_comment_lines_reaches_loadtxt_once(monkeypatch, case):
+    read, text = COMMENTED_CSVS[case]
+    expected = read("".join(s for s in text.splitlines(True) if "#" not in s))
+    calls, loadtxt = [], np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *args, **kw: calls.append(1) or loadtxt(*args, **kw))
+    got = read(text)
+    assert len(calls) == 1
+    for name in ("frequencies", "gamma", "values"):
+        if hasattr(expected, name):
+            np.testing.assert_array_equal(getattr(got, name), getattr(expected, name))
+
+
 @pytest.mark.parametrize("fault, message", [
     ("3.1e9,0,0,0", "duplicate row for state 0 at 3100000000.0 Hz"),
     ("x,0,0,0", "non-numeric field in 'x,0,0,0'"),

@@ -89,6 +89,10 @@ MUTANTS = [
      "(np.abs(frac - 0.5) >= 1e-3)", "(np.abs(frac - 0.5) >= 0)", ""),
     ("%.12g writer fast path up to 1e300", "src/risnet/touchstone.py",
      "fast = (a >= 1e-10) & (a < 1e30)", "fast = (a >= 1e-10) & (a < 1e300)", ""),
+    ("%s writer column not sliced per block", "src/risnet/touchstone.py",
+     "else p[start:stop] for p in pieces]", "else p[:stop - start] for p in pieces]", ""),
+    ("CSV reader sends a commented body to loadtxt's raw-lines call", "src/risnet/touchstone.py",
+     'if text.find("#", text.find(lines[head])) < 0:', "if True:", ""),
     ("readers always number lines by range", "src/risnet/touchstone.py",
      "if first + len(kept) == len(lines):", "if True:", ""),
     ("gain warning tolerance 1e-6 -> 1e-5", "src/risnet/touchstone.py",
