@@ -335,15 +335,16 @@ def synthesize_stub_lengths(
     minimizes the weighted mean-square circular error between the realized
     and target phases on the band grid (``n_band_points`` >= 2 uniform points,
     or the single point for a degenerate band) over [0, lambda_g/2). The
-    objective is periodic in length, so a 64-point scan brackets each minimum
-    first. Each bracket is then rescanned at 9 evenly spaced lengths, keeping
-    the two neighbours of the best one, until all are narrower than
-    lambda_g/2 * 1e-9; one objective call serves all eight states per scan,
-    and a bracket that is narrow enough keeps narrowing until all are.
-    States that share a termination share the coarse scan's stubs, so it
-    cascades each termination once; after the first rescan, each rescan
-    evaluates only its 7 interior lengths and reuses the objective at its
-    ends, which the rescan before it evaluated at the same floats.
+    objective is periodic in length, so a coarse scan of 65 points, from 0 to
+    lambda_g/2 inclusive, brackets each minimum first by the neighbours of its
+    best point among the first 64. Each bracket is then rescanned at 9 evenly
+    spaced lengths, keeping the two neighbours of the best one, until all are
+    narrower than lambda_g/2 * 1e-9; one objective call serves all eight
+    states per scan, and a bracket that is narrow enough keeps narrowing until
+    all are. States that share a termination share the coarse scan's stubs,
+    so it cascades each termination once. Every rescan evaluates only its 7
+    interior lengths and reuses the objective at its ends, which the scan
+    before it evaluated at the same floats.
 
     Each state's ``residual_deg`` is the phase error of the design's own
     :func:`sp8t_load_profile` at ``f_center``; for an ideal switch and
@@ -394,31 +395,28 @@ def synthesize_stub_lengths(
         return np.sum(w * _squared_wrap(phase, targets[:, None, None]), axis=2)
 
     period = guided_wavelength(line, f_center) / 2.0
-    coarse = np.linspace(0.0, period, _COARSE_POINTS, endpoint=False)
+    coarse = np.linspace(0.0, period, _COARSE_POINTS + 1)  # coarse[0] is 0.0, the lowest bound
     # States with one termination see the same stubs, so the coarse scan runs
     # once per termination and names the lowest state of a failing one: the
-    # state an (8, 64, F) scan would name first.
+    # state an (8, 65, F) scan would name first.
     first = [terms.index(term) for term in TERMINATIONS]
     signs = np.array([_SIGN[term] for term in TERMINATIONS])
-    k = np.argmin(objective(phases(signs, coarse[None, :], first)[kinds]), axis=1)
-    # The coarse scan brackets each minimum by the neighbours of its best
-    # point. A rescan keeps two of its 8 intervals, a quarter of the bracket
-    # (an eighth at an end), so period*1e-9 is reached in at most 13 rescans.
-    edges = np.append(coarse, period)  # coarse[0] is 0.0, the lowest bound
-    a, b = edges[np.maximum(k - 1, 0)], edges[k + 1]
+    f = objective(phases(signs, coarse[None, :], first)[kinds])
+    # period, the 65th point, is only ever a bracket's end. A rescan keeps two
+    # of its 8 intervals, a quarter of the bracket (an eighth at an end), so
+    # period*1e-9 is reached in at most 13 rescans.
+    k = np.argmin(f[:, :-1], axis=1)
+    lo, hi = np.maximum(k - 1, 0), k + 1
+    a, b, fa, fb = coarse[lo], coarse[hi], f[rows, lo], f[rows, hi]
     signs = signs[kinds]  # now per state
     steps = np.arange(_ZOOM_POINTS + 1.0)
-    fa = fb = None
     while (b - a > period * 1e-9).any():
         # np.linspace(a, b, 9, axis=1) by its own arithmetic: a + i*step, then b.
         x = a[:, None] + steps * ((b - a) / _ZOOM_POINTS)[:, None]
         x[:, -1] = b
-        # A later rescan's ends are two points of the one before, so it
-        # evaluates only its 7 interior lengths.
-        if fa is None:
-            f = objective(phases(signs, x, rows))
-        else:
-            f = np.column_stack((fa, objective(phases(signs, x[:, 1:-1], rows)), fb))
+        # The ends are two points of the scan before, so a rescan evaluates
+        # only its 7 interior lengths.
+        f = np.column_stack((fa, objective(phases(signs, x[:, 1:-1], rows)), fb))
         k = np.argmin(f, axis=1)
         lo, hi = np.maximum(k - 1, 0), np.minimum(k + 1, _ZOOM_POINTS)
         a, b, fa, fb = x[rows, lo], x[rows, hi], f[rows, lo], f[rows, hi]

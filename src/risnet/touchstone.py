@@ -8,17 +8,19 @@ files are rejected. The state CSV format (header
 per-switching-state reflection coefficients on a complete state-by-frequency
 grid.
 
-Each reader finds its header or option line and hands the raw lines after it to
-one ``np.loadtxt`` call (a CSV reader skips it when a ``#`` follows its
-header). Where loadtxt refuses the raw lines, :func:`_data_lines` strips and
-filters the text, keeping the lines that are neither blank nor comments, and
-then a per-line cast runs over them, which accepts exactly what ``float()`` and
-``int()`` accept and stops at the first faulty line. Every row and table rule
-then runs once, vectorized, and names its line, numbered by :func:`_data_lines`
-when a rule needs it. Every writer formats its table with numpy in one
-:func:`_format_rows` call, in blocks of about ``_CHUNK`` values, each float
-byte for byte as ``'%.12g' %`` prints it: in bulk where the rounding is certain
-(:func:`_g_text`), and through ``'%.12g' %`` itself where it is not.
+Each reader splits its text into lines once, finds its header or option line
+and hands the raw lines after it to one ``np.loadtxt`` call (a CSV reader skips
+it when a ``#`` follows its header). Where loadtxt refuses the raw lines,
+:func:`_data_lines` strips them and keeps those that are neither blank nor
+comments, and then a per-line cast runs over them, which accepts exactly what
+``float()`` and ``int()`` accept and stops at the first faulty line. Rows are
+numbered on every read: by position when loadtxt skipped no line, and
+otherwise by the one :func:`_data_lines` pass (:func:`_row_lines`). Every row
+and table rule then runs once, vectorized, and names its line. Every writer
+formats its table with numpy in one :func:`_format_rows` call, in blocks of
+about ``_CHUNK`` values, each float byte for byte as ``'%.12g' %`` prints it:
+in bulk where the rounding is certain (:func:`_g_text`), and through
+``'%.12g' %`` itself where it is not.
 """
 
 from __future__ import annotations
@@ -270,35 +272,28 @@ def _pairs_to_complex(a: np.ndarray, b: np.ndarray, fmt: str) -> np.ndarray:
     return np.float_power(10.0, a / 20.0) * np.exp(1j * np.deg2rad(b))
 
 
-def _data_lines(text: str, comment: str) -> tuple:
-    """The stripped lines of ``text`` that are not blank or ``comment`` lines, and their numbers.
+def _data_lines(lines: list, comment: str, start: int) -> tuple:
+    """The stripped lines of ``lines[start:]`` not blank or ``comment`` lines, and their numbers."""
+    kept = [(n, s) for n, s in enumerate(map(str.strip, lines[start:]), start + 1)
+            if s and s[0] != comment]
+    return [s for _, s in kept], [n for n, _ in kept]
 
-    The numbers are a ``range`` when no skipped line sits after the first kept
-    one, and a list only when one does.
+
+def _row_lines(lines: list, comment: str, start: int, n_rows: int) -> tuple:
+    """The lines and line numbers of the ``n_rows`` rows loadtxt read from ``lines[start:]``.
+
+    When loadtxt kept every line, row r is line ``start + 1 + r``; otherwise
+    :func:`_data_lines` numbers the lines it kept.
     """
-    lines = list(map(str.strip, text.splitlines()))
-    kept = [s for s in lines if s and s[0] != comment]
-    first = lines.index(kept[0]) if kept else 0  # an earlier equal line would be kept too
-    if first + len(kept) == len(lines):
-        return kept, range(first + 1, first + 1 + len(kept))
-    return kept, [n for n, s in enumerate(lines, start=1) if s and s[0] != comment]
+    if n_rows == len(lines) - start:
+        return lines[start:], range(start + 1, start + 1 + n_rows)
+    return _data_lines(lines, comment, start)
 
 
 def _head(lines: list, comment: str, start: int = 0):
     """The index of the first line from ``start`` neither blank nor a ``comment`` line, or None."""
     return next((i for i in range(start, len(lines))
                  if (s := lines[i].strip()) and s[0] != comment), None)
-
-
-class _AfterHead:
-    """``_data_lines(text, comment)[part][1:]``, computed only if a rule indexes it."""
-
-    def __init__(self, *args):
-        self.args = args
-
-    def __getitem__(self, i):
-        text, comment, part = self.args
-        return _data_lines(text, comment)[part][1:][i]
 
 
 def _v2_keyword(line: str, line_no: int) -> TouchstoneParseError:
@@ -337,8 +332,9 @@ def parse_touchstone(text: str) -> PortNetwork:
     frequency is not above the previous one starts the noise-parameter
     block, which runs to the end of the file with 5 values per record and is
     skipped. All errors carry the offending line number. The raw lines after
-    the option line go to one ``np.loadtxt`` call; where it refuses them, the
-    data lines of :func:`_data_lines` are read one by one.
+    the option line go to one ``np.loadtxt`` call, whose rows are numbered by
+    :func:`_row_lines`; where it refuses them, the data lines of
+    :func:`_data_lines` are read one by one.
     """
     lines = text.splitlines()
     head = _head(lines, "!")
@@ -355,9 +351,9 @@ def parse_touchstone(text: str) -> PortNetwork:
     try:
         table = np.loadtxt(lines[head + 1:], comments="!", ndmin=2)
         values, counts = table.ravel(), np.full(len(table), table.shape[1])
-        line_nos = _AfterHead(text, "!", 1)
+        _, line_nos = _row_lines(lines, "!", head + 1, len(table))
     except ValueError:  # a noise block, a v2 keyword or a spelling only float() reads
-        rows, line_nos = (part[1:] for part in _data_lines(text, "!"))
+        rows, line_nos = _data_lines(lines, "!", head + 1)
         records = [_touchstone_row(n, line) for n, line in zip(line_nos, rows)]
         values = np.array([v for record in records for v in record])
         counts = np.array([len(record) for record in records], dtype=np.int64)
@@ -575,8 +571,10 @@ def _read_csv(text: str, dtype: np.dtype, error) -> tuple:
     Blank and ``#`` comment lines are skipped. The first other line must be the
     header, the field names of ``dtype`` (compared after stripping). Unless a
     ``#`` follows it, ``np.loadtxt`` reads the raw lines after it, skipping
-    empty ones. Where a ``#`` does or loadtxt refuses them, it reads the data
-    ``lines`` of :func:`_data_lines`, and where it refuses those,
+    empty ones, and :func:`_row_lines` numbers its rows: by position when it
+    skipped none, and otherwise by :func:`_data_lines`. Where a ``#`` follows
+    the header or loadtxt refuses the raw lines, it reads the data ``lines`` of
+    :func:`_data_lines`, and where it refuses those,
     :func:`_csv_rows` casts them line by line. ``fault`` is the error of the
     first line that no cast accepts, unraised, and ``rows`` holds the rows
     before it; it is None when every line is read.
@@ -594,10 +592,10 @@ def _read_csv(text: str, dtype: np.dtype, error) -> tuple:
     if text.find("#", text.find(lines[head])) < 0:  # loadtxt refuses a line with a "#"
         try:
             rows = read(lines[head + 1:])
-            return rows, _AfterHead(text, "#", 0), _AfterHead(text, "#", 1), None
+            return rows, *_row_lines(lines, "#", head + 1, len(rows)), None
         except ValueError:
             pass
-    lines, line_nos = (part[1:] for part in _data_lines(text, "#"))
+    lines, line_nos = _data_lines(lines, "#", head + 1)
     try:
         return read(lines), lines, line_nos, None
     except ValueError:  # a spelling only float() or int() reads, or a faulty line

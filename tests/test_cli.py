@@ -2,7 +2,10 @@ import io
 import json
 import math
 import os
+import random
+import re
 import stat
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import datetime
 
@@ -14,8 +17,9 @@ from hypothesis import strategies as st
 import risnet.array
 import risnet.loads
 from risnet import cli, metrics, touchstone
-from risnet.gating import dump_sweep_csv, load_sweep_csv, synth_multipath
+from risnet.gating import dump_sweep_csv, load_sweep_csv, sweep_to_network, synth_multipath
 from risnet.loads import MicrostripLine, StubNetworkDesign, StubState, ideal_sp8t_design
+from risnet.network import profile_from_network
 from risnet.touchstone import PortNetwork, load_state_csv
 
 
@@ -1057,6 +1061,128 @@ def test_cli_fuzz_exit_codes(fuzz_files, monkeypatch, sub):
         assert code in (0, 2, 3, 4), argv
 
     run()
+
+
+# Seeded byte-level edits of real inputs. A failure message holds the seed, the
+# draw and the repr of the mutated bytes, so that it replays.
+MUTATION_SEED = 2024
+MUTATION_DRAWS = 200
+MUTATION_TOKENS = [b"1e308", b"nan", b"\r\n", b"# c\n", b"! c\n", b"\xef\xbb\xbf", b"\x00"]
+MUTATION_EXTREMES = [b"1e308", b"-1e308", b"5e-324", b"0", b"-0", b"inf", b"-inf", b"nan",
+                     b"1e-300", b"99999999999999999999999"]
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+GATE_ARGS = ["--t-start-s", "0", "--t-stop-s", "6e-9"]
+
+
+@pytest.fixture(scope="module")
+def mutation_inputs(tmp_path_factory):
+    """Unit cell, switch, 3- and 1-bit state CSVs, design JSON, sweep CSV and .s1p on 401 points."""
+    d = tmp_path_factory.mktemp("mutation")
+    f = np.linspace(3.0e9, 4.2e9, 401)
+    x = (f - 3.6e9) / 0.6e9
+
+    def two_port(s11, s21, s22, delay):
+        s = np.empty((f.size, 2, 2), complex)
+        s[:, 0, 0] = s11 * np.exp(-2j * np.pi * f * delay * 0.3) * (1.0 + 0.1 * x)
+        s[:, 1, 0] = s[:, 0, 1] = s21 * np.exp(-2j * np.pi * f * delay)
+        s[:, 1, 1] = s22 * np.exp(-2j * np.pi * f * delay * 0.7)
+        return PortNetwork(2, 50.0, f, s)
+
+    unit_cell, switch = two_port(0.2, 0.9, 0.15, 0.3e-9), two_port(0.05, 0.97, 0.05, 0.1e-9)
+    line = MicrostripLine(1.5e-3, 0.8e-3, 4.9, 3.0)
+    design = risnet.loads.synthesize_stub_lengths(switch, line, 3.6e9, (3.3e9, 3.8e9))
+    dut = synth_multipath([(2e-9, 0.8), (4.5e-9, 0.3)], f)
+    texts = {
+        "uc.s2p": touchstone.serialize_touchstone(unit_cell, "MA", "Hz"),
+        "sw.s2p": touchstone.serialize_touchstone(switch, "DB", "Hz"),
+        "p3.csv": touchstone.dump_state_csv(profile_from_network(
+            unit_cell, risnet.loads.sp8t_load_profile(design, f))),
+        "p1.csv": touchstone.dump_state_csv(profile_from_network(
+            unit_cell, risnet.loads.spdt_load_profile(None, f))),
+        "design.json": design.to_json(f_center_hz=3.6e9),
+        "dut.csv": dump_sweep_csv(dut),
+        "dut.s1p": touchstone.serialize_touchstone(sweep_to_network(dut), "RI", "GHz"),
+    }
+    for name, text in texts.items():
+        (d / name).write_text(text, encoding="utf-8")
+    return d
+
+
+# Each input and the argvs of the subcommands that read it, '{}' standing for it.
+MUTATION_RUNS = {
+    "uc.s2p": [["parse", "{}"], ["profile", "{}", "--loads", "ideal-1bit"],
+               ["profile", "{}", "--loads", "design.json"]],
+    "sw.s2p": [["parse", "{}"], ["synth", "--switch", "{}", "--line-width-m", "1.5e-3"],
+               ["profile", "uc.s2p", "--loads", "{}"]],
+    "p3.csv": [["parse", "{}"], ["bandwidth", "{}"], ["pattern", "{}"]],
+    "p1.csv": [["parse", "{}"], ["bandwidth", "{}"], ["pattern", "{}"]],
+    "design.json": [["profile", "uc.s2p", "--loads", "{}"]],
+    "dut.csv": [["gate", "{}", *GATE_ARGS],
+                ["gate", "dut.s1p", *GATE_ARGS, "--normalize", "--reference", "{}"]],
+    "dut.s1p": [["parse", "{}"], ["gate", "{}", *GATE_ARGS]],
+}
+
+
+def mutate_bytes(rng, data: bytes) -> bytes:
+    """``data`` after 1-4 edits: a span replaced, deleted or duplicated, a token inserted,
+    a number swapped for an extreme value, or a line's frequency repeated on the next line."""
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randrange(len(data) + 1)
+        j = min(len(data), i + rng.randint(1, 40))
+        kind = rng.choice(("replace", "delete", "duplicate", "insert", "extreme", "frequency"))
+        numbers = list(NUMBER.finditer(data))
+        if kind == "replace":
+            k = rng.randrange(len(data) + 1)
+            data = data[:i] + data[k:k + rng.randint(1, 40)] + data[j:]
+        elif kind == "delete":
+            data = data[:i] + data[j:]
+        elif kind == "duplicate":
+            data = data[:j] + data[i:j] + data[j:]
+        elif kind == "insert" or not numbers:
+            data = data[:i] + rng.choice(MUTATION_TOKENS) + data[i:]
+        elif kind == "extreme":
+            m = rng.choice(numbers)
+            data = data[:m.start()] + rng.choice(MUTATION_EXTREMES) + data[m.end():]
+        else:
+            lines = data.split(b"\n")
+            r = rng.randrange(max(1, len(lines) - 1))
+            first = NUMBER.match(lines[r].lstrip())
+            if first and r + 1 < len(lines):
+                rest = NUMBER.sub(b"", lines[r + 1].lstrip(), count=1)
+                lines[r + 1] = first.group() + rest
+            data = b"\n".join(lines)
+    return data
+
+
+def test_mutated_inputs_exit_0_3_or_4_with_one_error_line(mutation_inputs, tmp_path, monkeypatch):
+    for name in MUTATION_RUNS:
+        (tmp_path / name).write_bytes((mutation_inputs / name).read_bytes())
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(MUTATION_SEED)
+    for draw in range(MUTATION_DRAWS):
+        name = rng.choice(sorted(MUTATION_RUNS))
+        original = (mutation_inputs / name).read_bytes()
+        data = mutate_bytes(rng, original)
+        (tmp_path / name).write_bytes(data)
+        for argv in MUTATION_RUNS[name]:
+            argv = [a.replace("{}", name) for a in argv]
+            where = f"seed {MUTATION_SEED}, draw {draw}, {name}, argv {argv}, bytes {data!r}"
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+                warnings.simplefilter("error")
+                try:
+                    code = cli.main(argv)
+                except SystemExit as e:
+                    code = e.code
+                except Exception as e:
+                    raise AssertionError(f"{type(e).__name__}: {e}; {where}") from e
+            lines = err.getvalue().splitlines()
+            assert code in (0, 3, 4), f"exit {code}, stderr {lines}; {where}"
+            assert not any(s in err.getvalue() for s in ("Traceback", "RuntimeWarning")), where
+            if code:
+                errors = [s for s in lines if s.startswith("error:")]
+                assert len(errors) == 1 and lines[-1] == errors[0], f"stderr {lines}; {where}"
+        (tmp_path / name).write_bytes(original)
 
 
 def write_sweep_csv(path, value, n=64):

@@ -357,6 +357,25 @@ TABLE_FAULTS = {
         gating.load_sweep_csv, "freq_hz,re,im\n" + "".join(
             f"{1e9 + 1e6 * k:.12g},0.5,0\n" for k in (0, 1, 2, 2, 3, 4, 5, 6, 7)),
         gating.SweepGridError, 5, "frequencies must be strictly increasing"),
+    # No line is skipped among these rows, so each row is numbered by its position.
+    "state CSV, fault on its first line": (
+        load_state_csv, "freq_hz,state,mag_db,phase_deg\n1e9,-1,0,0\n2e9,0,0,0\n",
+        StateCsvError, 2, "negative state index -1"),
+    "state CSV, fault on its last line": (
+        load_state_csv, "# c\nfreq_hz,state,mag_db,phase_deg\n1e9,0,0,0\n2e9,0,0,0\n1e9,1,0,0\n"
+        " inf ,1,0,0\n", StateCsvError, 6, "non-finite frequency inf"),
+    "touchstone, fault on its first line": (
+        parse_touchstone, "! c\n\n# Hz S RI R 50\n-1 0 0\n1 0 0\n",
+        TouchstoneParseError, 4, "frequencies must be non-negative"),
+    "touchstone, fault on its last line": (
+        parse_touchstone, "# Hz S RI R 50\n1 0 0\n2 0 0 ! c\n3 nan 0\n",
+        TouchstoneParseError, 4, "S parameters must be finite"),
+    "sweep CSV, CRLF ends and trailing blank lines": (
+        gating.load_sweep_csv, "freq_hz,re,im\r\n1e9,0.5,0\r\n2e9,0.5,0\r\n2e9,0.5,0\r\n\r\n\r\n",
+        gating.SweepGridError, 4, "frequencies must be strictly increasing"),
+    "touchstone, fault after a bare ! line": (
+        parse_touchstone, "# Hz S RI R 50\n1 0 0\n!\n2 0 0\n2 0 0\n",
+        TouchstoneParseError, 5, "frequencies must be strictly increasing"),
 }
 
 

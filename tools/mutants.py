@@ -52,11 +52,14 @@ MUTANTS = [
     ("synthesis rescan reuses its end objectives swapped", "src/risnet/loads.py",
      "np.column_stack((fa, objective(phases(signs, x[:, 1:-1], rows)), fb))",
      "np.column_stack((fb, objective(phases(signs, x[:, 1:-1], rows)), fa))", ""),
+    ("synthesis first rescan reuses the best coarse objective as its upper end",
+     "src/risnet/loads.py", "coarse[lo], coarse[hi], f[rows, lo], f[rows, hi]",
+     "coarse[lo], coarse[hi], f[rows, lo], f[rows, k]", ""),
     ("synthesis phase wrap without its below-zero correction", "src/risnet/loads.py",
      "    v += 360.0 * (v < 0.0)  # v + 0.0 is v\n", "", ""),
     ("state CSV fast path skips the negative-state rule", "src/risnet/touchstone.py",
      "bad = (state < 0) | (state >= _MAX_STATE)",
-     "bad = (state < 0) & isinstance(lines, list) | (state >= _MAX_STATE)", ""),
+     "bad = (state < 0) & isinstance(line_nos, list) | (state >= _MAX_STATE)", ""),
     ("_COARSE_POINTS 64 -> 32", "src/risnet/loads.py",
      "_COARSE_POINTS = 64", "_COARSE_POINTS = 32",
      "moves synthesized lengths by about 1e-11 m, inside the search tolerance; only the "
@@ -93,8 +96,8 @@ MUTANTS = [
      "else p[start:stop] for p in pieces]", "else p[:stop - start] for p in pieces]", ""),
     ("CSV reader sends a commented body to loadtxt's raw-lines call", "src/risnet/touchstone.py",
      'if text.find("#", text.find(lines[head])) < 0:', "if True:", ""),
-    ("readers always number lines by range", "src/risnet/touchstone.py",
-     "if first + len(kept) == len(lines):", "if True:", ""),
+    ("readers always number rows by position", "src/risnet/touchstone.py",
+     "if n_rows == len(lines) - start:", "if True:", ""),
     ("gain warning tolerance 1e-6 -> 1e-5", "src/risnet/touchstone.py",
      "GAIN_TOLERANCE = 1e-6", "GAIN_TOLERANCE = 1e-5", ""),
     ("sigma_max divides S by a subnormal scale as complex", "src/risnet/touchstone.py",
