@@ -186,25 +186,42 @@ def _steering_vectors(u, coords, k0: float, m: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=_STEERING_CACHE_SIZE)
 def _steering_matrices(layout: ArrayLayout, k0: float, theta: bytes, phi: bytes) -> tuple:
-    """Read-only (A_x, A_y) over the theta x phi directions, 1-D radians given as bytes.
+    """Read-only (A_x, A_y, m) over theta rows m: x phi, 1-D radians given as bytes.
 
     The bytes key keeps -0.0 apart from 0.0, whose exponentials differ in the
     sign of a zero imaginary part. When the computed sines are mirrored bit
-    for bit, sin_t[i] == -sin_t[-1 - i] (signs of zero included), the first
-    half of the theta rows are conjugates of the second half; an odd grid's
-    centre row is always computed.
+    for bit, sin_t[i] == -sin_t[-1 - i] (signs of zero included), theta row
+    i < T // 2 is the conjugate of row -1 - i (an odd grid's centre row is
+    computed): m = T // 2 over more than one block, else those rows are filled.
     """
     theta, phi = np.frombuffer(theta), np.frombuffer(phi)
     x, y = _cell_axes(layout)
     sin_t = np.sin(theta)
-    m = sin_t.size // 2
-    if sin_t[:m].tobytes() != (-sin_t[::-1][:m]).tobytes():
-        m = 0
-    sin_t = sin_t[:, np.newaxis]
-    a_x = _steering_vectors(sin_t * np.cos(phi), x, k0, m)
-    a_y = _steering_vectors(sin_t * np.sin(phi), y, k0, m)
+    fill = sin_t.size // 2
+    if sin_t[:fill].tobytes() != (-sin_t[::-1][:fill]).tobytes():
+        fill = 0
+    m = fill if theta.size * phi.size > _BLOCK_ROWS + 1 else 0
+    sin_t = sin_t[m:, np.newaxis]
+    a_x = _steering_vectors(sin_t * np.cos(phi), x, k0, fill - m)
+    a_y = _steering_vectors(sin_t * np.sin(phi), y, k0, fill - m)
     a_x.flags.writeable = a_y.flags.writeable = False
-    return a_x, a_y
+    return a_x, a_y, m
+
+
+def _unmirror(a: np.ndarray, m: int, n_phi: int) -> np.ndarray:
+    """The full steering matrix from its theta rows m: (see _steering_matrices)."""
+    a = a.reshape(-1, n_phi, a.shape[1])
+    return np.concatenate((np.conjugate(a[::-1][:m]), a)).reshape(-1, a.shape[2])
+
+
+def _sum_rows(a_x: np.ndarray, a_y: np.ndarray, grids: tuple, outs: tuple) -> None:
+    """outs[k] = sum((a_y @ grids[k]) * a_x, axis=1), in blocks of rows (see array_factor)."""
+    stops = [*range(_BLOCK_ROWS, len(a_x) - 1, _BLOCK_ROWS), len(a_x)]
+    for start, stop in zip([0, *stops], stops):
+        for gamma, out in zip(grids, outs):
+            p = a_y[start:stop] @ gamma
+            p *= a_x[start:stop]
+            np.sum(p, axis=1, out=out[start:stop])
 
 
 def array_factor(
@@ -232,16 +249,22 @@ def array_factor(
     conj(right[:, ::-1]), the bits of the full exponential except the sign
     of a zero imaginary part where u or v is 0. Likewise, when the grid's
     sines are mirrored bit for bit, sin(theta[i]) == -sin(theta[-1 - i]) as
-    for the default -90...90 cut, only the second half of the theta rows is
-    exponentiated and the first half is their conjugate in reverse theta
-    order; a grid that is not mirrored (say an asymmetric span, or
-    ``np.arange`` at step 0.1) exponentiates every row. Either way the
-    output has the same bits. a_x and a_y depend only on the wall, f and
-    the theta/phi grid: the last few such pairs are kept read-only and
-    reused, and the pattern is summed in blocks of directions, so the
-    temporaries stay one block in size. ``gamma_states`` and ``f`` are
-    checked as in :func:`steering_codebook`; a sum past the float range
-    raises InputDataError naming its direction.
+    for the default -90...90 cut, theta row i < T // 2 is the conjugate of
+    row -1 - i and only the second half is exponentiated; a grid that is
+    not mirrored (say an asymmetric span, or ``np.arange`` at step 0.1)
+    exponentiates every row. a_x and a_y depend only on the wall, f and the
+    theta/phi grid; the last few such pairs are kept read-only and reused.
+    The pattern is summed 1024 directions at a time, so the temporaries stay
+    one block in size; a one-row remainder joins the block before it, as a
+    one-row product has other bits than the same row in a larger one. A
+    mirrored grid of more than one block keeps only rows T // 2 on (6.4 of
+    12.65 MB for a 6x6 wall on a 181 x 91 grid) and sums them with G and
+    conj(G): AF at row -1 - i is conj(sum((a_y[i] @ conj(G)) * a_x[i])),
+    the full sum's bits but for the sign of an exact 0, so a mirrored exact
+    0 has the grid summed again from the full matrices. A one-block grid
+    keeps every row: halving its one product could change its bits.
+    ``gamma_states`` and ``f`` are checked as in :func:`steering_codebook`;
+    a sum past the float range raises InputDataError naming its direction.
     """
     state_map = np.asarray(state_map)
     if state_map.shape != (layout.cells_y, layout.cells_x):
@@ -264,18 +287,20 @@ def array_factor(
     theta, phi = np.deg2rad(theta_deg), np.deg2rad(phi_az_deg)
     if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(phi))):
         raise ValueError("theta_deg and phi_az_deg must be finite")
-    a_x, a_y = _steering_matrices(layout, k0, theta.tobytes(), phi.tobytes())
+    a_x, a_y, m = _steering_matrices(layout, k0, theta.tobytes(), phi.tobytes())
     gamma = gamma_states[state_map]
-    af = np.empty(a_x.shape[0], dtype=complex)
+    af = np.empty((theta.size, phi.size), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        # Row blocks bound the (directions, cells_x) temporary; each row's
-        # product and sum are the same operations as on the whole matrix.
-        for r in range(0, af.size, _BLOCK_ROWS):
-            rows = slice(r, r + _BLOCK_ROWS)
-            p = a_y[rows] @ gamma
-            p *= a_x[rows]
-            np.sum(p, axis=1, out=af[rows])
-    af = af.reshape(theta.size, phi.size)
+        if m:
+            # Theta row i < m is conj(sum((A_y[-1 - i] @ conj(G)) * A_x[-1 - i])).
+            mirrored = np.empty_like(af[m:])
+            _sum_rows(a_x, a_y, (gamma, gamma.conj()), (af[m:].reshape(-1), mirrored.reshape(-1)))
+            np.conjugate(mirrored[::-1][:m], out=af[:m])
+        if m and not np.all(af[:m].view(float)):
+            # There an exact 0 may have the other sign: sum the full matrices.
+            a_x, a_y, m = _unmirror(a_x, m, phi.size), _unmirror(a_y, m, phi.size), 0
+        if not m:
+            _sum_rows(a_x, a_y, (gamma,), (af.reshape(-1),))
     bad = ~np.isfinite(af)
     if bad.any():
         i, j = np.argwhere(bad)[0]

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from risnet.array import (
     C0,
     ArrayLayout,
+    _BLOCK_ROWS,
     _steering_matrices,
     array_factor,
     build_array,
@@ -352,24 +353,44 @@ def test_mirrored_and_near_miss_grids_equal_the_full_exponential_path(
     assert af.tobytes() == ref.tobytes()
 
 
+def assert_rows_are_the_full_exponential(layout, k0, theta, phi):
+    # Stored theta rows m: equal the full exponential's rows bit for bit, except
+    # the sign of a zero imaginary part where the phase is 0: where u or v is
+    # 0, or their product with k0 and a coordinate underflows.
+    a_x, a_y, m = _steering_matrices(layout, k0, theta.tobytes(), phi.tobytes())
+    x, y = layout.cell_positions()
+    sin_t = np.sin(theta)[:, np.newaxis]
+    for a, u, coords in ((a_x, sin_t * np.cos(phi), x[0]), (a_y, sin_t * np.sin(phi), y[:, 0])):
+        phase = k0 * np.multiply.outer(u[m:].ravel(), coords)
+        ref = np.exp(1j * phase)
+        assert a.shape == ref.shape
+        assert a.real.tobytes() == ref.real.tobytes()
+        assert np.array_equal(a.imag, ref.imag)
+        assert a.imag[phase != 0].tobytes() == ref.imag[phase != 0].tobytes()
+    return m
+
+
 @settings(deadline=None, max_examples=100)
 @given(wide_walls(), frequencies, mirrored_grids(near_miss=False),
        st.lists(st.sampled_from((0.0, 90.0, 180.0)) | azimuths_deg, min_size=1, max_size=6))
 def test_mirrored_steering_matrices_equal_the_full_exponential(wall, f, theta_deg, phi_deg):
-    # Bit for bit, except the sign of a zero imaginary part where the phase is
-    # 0: where u or v is 0, or their product with k0 and a coordinate underflows.
+    # At most 83 x 6 directions: one block, so every row is kept (m = 0).
     layout, _ = wall
     theta, phi = np.deg2rad(theta_deg), np.deg2rad(np.array(phi_deg))
-    k0 = 2.0 * np.pi * f / C0
-    a_x, a_y = _steering_matrices(layout, k0, theta.tobytes(), phi.tobytes())
-    x, y = layout.cell_positions()
-    sin_t = np.sin(theta)[:, np.newaxis]
-    for a, u, coords in ((a_x, sin_t * np.cos(phi), x[0]), (a_y, sin_t * np.sin(phi), y[:, 0])):
-        phase = k0 * np.multiply.outer(u.ravel(), coords)
-        ref = np.exp(1j * phase)
-        assert a.real.tobytes() == ref.real.tobytes()
-        assert np.array_equal(a.imag, ref.imag)
-        assert a.imag[phase != 0].tobytes() == ref.imag[phase != 0].tobytes()
+    assert assert_rows_are_the_full_exponential(layout, 2.0 * np.pi * f / C0, theta, phi) == 0
+
+
+@settings(deadline=None, max_examples=50)
+@given(wide_walls(), frequencies, mirrored_grids(near_miss=False),
+       st.lists(azimuths_deg, min_size=1, max_size=3))
+def test_a_kept_half_equals_the_full_exponential(wall, f, theta_deg, phi_deg):
+    # Enough azimuths, 0, 90 and 180 among them, for more than one block.
+    layout, _ = wall
+    n_phi = _BLOCK_ROWS // theta_deg.size + 2
+    phi_deg = np.resize([0.0, 90.0, 180.0, *phi_deg], n_phi)
+    theta, phi = np.deg2rad(theta_deg), np.deg2rad(phi_deg)
+    m = assert_rows_are_the_full_exponential(layout, 2.0 * np.pi * f / C0, theta, phi)
+    assert m == theta.size // 2
 
 
 def test_array_factor_memory_stays_small():
@@ -399,11 +420,87 @@ def test_grid_over_several_row_blocks_matches_the_full_matrix_product():
     assert first.tobytes() == ref.tobytes() and again.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("theta_deg, phi_deg, rows", [
+    (np.linspace(-90.0, 90.0, 181), np.linspace(0.0, 180.0, 91), (181 - 90) * 91),
+    (np.linspace(-90.0, 90.0, 2049), np.array([30.0]), 1025),
+    (np.linspace(-90.0, 80.0, 181), np.linspace(0.0, 180.0, 91), 181 * 91),
+    (np.linspace(-90.0, 90.0, 181), np.linspace(0.0, 180.0, 5), 181 * 5),
+    (np.array([-90.0, 90.0]), np.array([30.0]), 2),
+])
+def test_a_mirrored_grid_of_several_blocks_keeps_half_its_theta_rows(theta_deg, phi_deg, rows):
+    # Mirrored over more than one block: (T - T // 2) * P rows. Unmirrored, or
+    # one block (where a kept half would split the block's product): T * P rows.
+    layout = build_array(6, 6, 3)
+    theta, phi = np.deg2rad(theta_deg), np.deg2rad(phi_deg)
+    k0 = 2.0 * np.pi * F / C0
+    a_x, a_y, m = _steering_matrices(layout, k0, theta.tobytes(), phi.tobytes())
+    assert (theta.size - m) * phi.size == rows
+    assert a_x.shape == (rows, layout.cells_x) and a_y.shape == (rows, layout.cells_y)
+    assert not a_x.flags.writeable and not a_y.flags.writeable
+
+
+def x_symmetric_map(shape, dtype):
+    half = np.random.default_rng(3).integers(0, 2, (shape[0], shape[1] // 2)).astype(dtype)
+    return np.hstack([half, half[:, ::-1]])
+
+
+@pytest.mark.parametrize("tiles, gammas, state_map, phi_deg", [
+    ((2, 2), IDEAL_1BIT, np.zeros, np.linspace(0.0, 180.0, 7)),
+    ((2, 2), IDEAL_1BIT, np.ones, np.resize([0.0, 90.0, 180.0], 6)),
+    ((2, 2), np.array([1j, -1j]), np.zeros, np.full(6, 30.0)),
+    ((6, 6), IDEAL_3BIT, np.zeros, np.full(6, 30.0)),
+    ((2, 2), IDEAL_1BIT, x_symmetric_map, np.zeros(6)),
+])
+def test_exact_zeros_of_mirrored_directions_keep_their_sign(tiles, gammas, state_map, phi_deg):
+    # conj(sum((A_y @ conj(G)) * A_x)) can turn a +0 of the full sum into -0.
+    layout = build_array(*tiles, 1 if len(gammas) == 2 else 3)
+    state_map = state_map((layout.cells_y, layout.cells_x), int)
+    theta = np.linspace(-90.0, 90.0, 181)
+    k0 = 2.0 * np.pi * F / C0
+    assert _steering_matrices(layout, k0, np.deg2rad(theta).tobytes(),
+                              np.deg2rad(phi_deg).tobytes())[2] == 90
+    ref = full_exp_af(layout, state_map, gammas, F, theta, phi_deg, 1.0)
+    assert not np.all(ref[:90].view(float))  # the mirrored directions hold exact zeros
+    af = array_factor(layout, state_map, gammas, F, theta, phi_deg)
+    assert af.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("tiles", [(2, 2), (6, 6), (2, 5)])
+@pytest.mark.parametrize("phi_deg", [0.0, 30.0, [30.0]])
+def test_a_two_direction_mirrored_cut_equals_the_full_exponential_path(tiles, phi_deg):
+    # A kept half of one row would be a one-row product, whose bits differ
+    # from the same row inside the full product once a wall has 8 cells a side.
+    layout = build_array(*tiles, 3)
+    state_map = np.random.default_rng(7).integers(0, 8, (layout.cells_y, layout.cells_x))
+    theta = [-90.0, 90.0]
+    af = array_factor(layout, state_map, IDEAL_3BIT, F, theta, phi_deg, element_exponent=0.0)
+    ref = full_exp_af(layout, state_map, IDEAL_3BIT, F, theta, phi_deg, 0.0)
+    assert af.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("tiles", [(2, 2), (6, 6)])
+@pytest.mark.parametrize("theta_deg, phi_deg", [
+    (np.linspace(-80.0, 90.0, 1025), 30.0),
+    (np.linspace(-80.0, 90.0, 205), np.linspace(0.0, 180.0, 5)),
+    (np.linspace(-80.0, 90.0, 2049), 30.0),
+    (np.linspace(-90.0, 90.0, 2049), 30.0),  # mirrored: 1025 rows kept
+    (np.linspace(-90.0, 90.0, 4097), 30.0),  # mirrored: 2049 rows kept
+])
+def test_a_one_row_remainder_keeps_the_bits_of_the_full_product(tiles, theta_deg, phi_deg):
+    # 1 mod _BLOCK_ROWS rows: the last row joins the block before it.
+    layout = build_array(*tiles, 3)
+    state_map = np.random.default_rng(11).integers(0, 8, (layout.cells_y, layout.cells_x))
+    af = array_factor(layout, state_map, IDEAL_3BIT, F, theta_deg, phi_deg)
+    ref = full_exp_af(layout, state_map, IDEAL_3BIT, F, theta_deg, phi_deg, 1.0)
+    assert af.tobytes() == ref.tobytes()
+
+
 def test_memoized_steering_matrices_are_read_only():
     theta = np.deg2rad(np.array([0.0, 30.0]))
     phi = np.deg2rad(np.array([0.0]))
     k0 = 2.0 * np.pi * F / C0
-    for a in _steering_matrices(build_array(1, 1, 1), k0, theta.tobytes(), phi.tobytes()):
+    a_x, a_y, _ = _steering_matrices(build_array(1, 1, 1), k0, theta.tobytes(), phi.tobytes())
+    for a in (a_x, a_y):
         assert not a.flags.writeable
 
 

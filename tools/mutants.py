@@ -80,9 +80,20 @@ MUTANTS = [
     ("codebook ties to the highest state", "src/risnet/array.py",
      "for state in range(len(dist) - 1, -1, -1):", "for state in range(len(dist)):", ""),
     ("steering build mirrors every theta grid", "src/risnet/array.py",
-     "if sin_t[:m].tobytes() != (-sin_t[::-1][:m]).tobytes():", "if False:", ""),
+     "if sin_t[:fill].tobytes() != (-sin_t[::-1][:fill]).tobytes():", "if False:", ""),
     ("steering build copies mirrored theta rows unconjugated", "src/risnet/array.py",
      "np.conjugate(out[::-1][:m], out=out[:m])", "out[:m] = out[::-1][:m]", ""),
+    ("a one-block grid keeps only its half", "src/risnet/array.py",
+     "m = fill if theta.size * phi.size > _BLOCK_ROWS + 1 else 0", "m = fill", ""),
+    ("a grid of several blocks keeps every row", "src/risnet/array.py",
+     "m = fill if theta.size * phi.size > _BLOCK_ROWS + 1 else 0", "m = 0", ""),
+    ("mirrored rows summed with G", "src/risnet/array.py",
+     "(gamma, gamma.conj())", "(gamma, gamma)", ""),
+    ("zero re-sum dropped", "src/risnet/array.py",
+     "if m and not np.all(af[:m].view(float)):", "if False:", ""),
+    ("one-row remainder summed as its own block", "src/risnet/array.py",
+     "range(_BLOCK_ROWS, len(a_x) - 1, _BLOCK_ROWS)", "range(_BLOCK_ROWS, len(a_x), _BLOCK_ROWS)",
+     ""),
     ("%.12g writer near-half margin 1e-3 -> 1e-9", "src/risnet/touchstone.py",
      "(np.abs(frac - 0.5) >= 1e-3)", "(np.abs(frac - 0.5) >= 1e-9)",
      "equivalent: the scaled value is one correctly rounded product, and n + 0.5 is exact "
