@@ -50,3 +50,10 @@ def __getattr__(name: str):
 
 def __dir__():
     return sorted({*globals(), *__all__, *_MODULES})
+
+
+def _console_script():
+    """The ``risnet`` command: run ``risnet.cli`` as ``python -m risnet.cli`` does."""
+    import runpy
+
+    runpy.run_module(f"{__name__}.cli", run_name="__main__", alter_sys=True)

@@ -262,7 +262,10 @@ def array_factor(
     conj(G): AF at row -1 - i is conj(sum((a_y[i] @ conj(G)) * a_x[i])),
     the full sum's bits but for the sign of an exact 0, so a mirrored exact
     0 has the grid summed again from the full matrices. A one-block grid
-    keeps every row: halving its one product could change its bits.
+    keeps every row: halving its one product could change its bits. With
+    more than one BLAS thread, a grid of several blocks on a wall over 128
+    cells tall can still differ in its last bits from one product over the
+    grid; a CLI process runs one thread (see :mod:`risnet.cli`).
     ``gamma_states`` and ``f`` are checked as in :func:`steering_codebook`;
     a sum past the float range raises InputDataError naming its direction.
     """

@@ -9,18 +9,27 @@ Every subcommand reads or writes through ``touchstone``; each imports the
 other modules it runs where it runs them, so a process loads only those.
 After its outputs, a subcommand warns once per input with a |gamma| or a
 ``PortNetwork.sigma_max()`` past 1 + ``touchstone.GAIN_TOLERANCE`` (not passive).
-A process started as ``risnet`` or ``python -m risnet.cli`` enters through
-``run``, which flushes stdout and stderr and leaves through ``os._exit``
-without tearing the interpreter down; ``main`` called in-process returns
-its exit code as usual.
+A process started as ``risnet`` or ``python -m risnet.cli`` runs this file as
+``__main__``, which pins every BLAS/OpenMP pool to one thread before numpy
+loads, whatever the environment says: output bytes then do not depend on how
+a BLAS library splits its products, and the process starts sooner. A library
+``import risnet.cli`` changes no environment variable. The process enters
+through ``run``, which flushes stdout and stderr and leaves through
+``os._exit`` without tearing the interpreter down; ``main`` called in-process
+returns its exit code as usual.
 """
 
 from __future__ import annotations
 
+import os
+
+if __name__ == "__main__":  # a CLI process, not a library import (see above)
+    os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                                     "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"), "1"))
+
 import argparse
 import json
 import math
-import os
 import stat
 import sys
 from datetime import datetime, timezone

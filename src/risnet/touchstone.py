@@ -14,8 +14,9 @@ it when a ``#`` follows its header). Where loadtxt refuses the raw lines,
 :func:`_data_lines` strips them and keeps those that are neither blank nor
 comments, and then a per-line cast runs over them, which accepts exactly what
 ``float()`` and ``int()`` accept and stops at the first faulty line. Rows are
-numbered on every read: by position when loadtxt skipped no line, and
-otherwise by the one :func:`_data_lines` pass (:func:`_row_lines`). Every row
+numbered on every read: by position when loadtxt skipped no line, otherwise
+by the line lengths in a CSV (where loadtxt skips only empty lines) or by the
+one :func:`_data_lines` pass (:func:`_row_lines`). Every row
 and table rule then runs once, vectorized, and names its line. Every writer
 formats its table with numpy in one :func:`_format_rows` call, in blocks of
 about ``_CHUNK`` values, each float byte for byte as ``'%.12g' %`` prints it:
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress, count
 
 import numpy as np
 
@@ -279,14 +281,17 @@ def _data_lines(lines: list, comment: str, start: int) -> tuple:
     return [s for _, s in kept], [n for n, _ in kept]
 
 
-def _row_lines(lines: list, comment: str, start: int, n_rows: int) -> tuple:
+def _row_lines(lines: list, comment: str | None, start: int, n_rows: int) -> tuple:
     """The lines and line numbers of the ``n_rows`` rows loadtxt read from ``lines[start:]``.
 
-    When loadtxt kept every line, row r is line ``start + 1 + r``; otherwise
-    :func:`_data_lines` numbers the lines it kept.
+    When loadtxt kept every line, row r is line ``start + 1 + r``; when it can
+    skip only empty lines (``comment`` None), its rows are the others, and
+    otherwise :func:`_data_lines` numbers the lines it kept.
     """
     if n_rows == len(lines) - start:
         return lines[start:], range(start + 1, start + 1 + n_rows)
+    if comment is None:
+        return list(filter(None, lines[start:])), list(compress(count(start + 1), lines[start:]))
     return _data_lines(lines, comment, start)
 
 
@@ -572,8 +577,8 @@ def _read_csv(text: str, dtype: np.dtype, error) -> tuple:
     header, the field names of ``dtype`` (compared after stripping). Unless a
     ``#`` follows it, ``np.loadtxt`` reads the raw lines after it, skipping
     empty ones, and :func:`_row_lines` numbers its rows: by position when it
-    skipped none, and otherwise by :func:`_data_lines`. Where a ``#`` follows
-    the header or loadtxt refuses the raw lines, it reads the data ``lines`` of
+    skipped none, and otherwise by their lengths. Where a ``#`` follows the
+    header or loadtxt refuses the raw lines, it reads the data ``lines`` of
     :func:`_data_lines`, and where it refuses those,
     :func:`_csv_rows` casts them line by line. ``fault`` is the error of the
     first line that no cast accepts, unraised, and ``rows`` holds the rows
@@ -592,7 +597,7 @@ def _read_csv(text: str, dtype: np.dtype, error) -> tuple:
     if text.find("#", text.find(lines[head])) < 0:  # loadtxt refuses a line with a "#"
         try:
             rows = read(lines[head + 1:])
-            return rows, *_row_lines(lines, "#", head + 1, len(rows)), None
+            return rows, *_row_lines(lines, None, head + 1, len(rows)), None
         except ValueError:
             pass
     lines, line_nos = _data_lines(lines, "#", head + 1)

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -493,6 +497,26 @@ def test_a_one_row_remainder_keeps_the_bits_of_the_full_product(tiles, theta_deg
     af = array_factor(layout, state_map, IDEAL_3BIT, F, theta_deg, phi_deg)
     ref = full_exp_af(layout, state_map, IDEAL_3BIT, F, theta_deg, phi_deg, 1.0)
     assert af.tobytes() == ref.tobytes()
+
+
+def test_a_one_block_mirrored_grid_keeps_the_bits_of_the_full_product_at_two_blas_threads():
+    # A 32x43-tile wall, 172 cells tall, over theta -90, 0 and 90: the full
+    # product has 3 rows and OpenBLAS splits it over 2 threads. Its kept half
+    # would be 2 rows, under the threading threshold, and round otherwise.
+    code = (
+        "import numpy as np; from test_array import full_exp_af; "
+        "from risnet.array import ArrayLayout, array_factor; "
+        "layout = ArrayLayout(32, 43, 1, 1.0, 1.0); g = np.array([-1.0 + 0j, -1.0 + 0j]); "
+        "m = np.random.default_rng(0).integers(0, 2, (layout.cells_y, layout.cells_x)); "
+        "args = (layout, m, g, 1e8, [-90.0, 0.0, 90.0], 1.0); "
+        "print(array_factor(*args, 0.0).tobytes() == full_exp_af(*args, 0.0).tobytes())"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get(
+        "PYTHONPATH")))), OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
+    done = subprocess.run([sys.executable, "-c", code], cwd=Path(__file__).parent, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.stdout, done.stderr) == ("True\n", "")
 
 
 def test_memoized_steering_matrices_are_read_only():

@@ -428,6 +428,30 @@ def test_a_comment_mid_table_shifts_the_lines_after_it(fault, message):
     assert str(exc.value) == f"line 2402: {message}"
 
 
+@pytest.mark.parametrize("empty_at", [(0,), (1200,), (0, 1200, 1200, 2999)],
+                         ids=["after the header", "mid-table", "several"])
+@pytest.mark.parametrize("fault, message", [
+    ("3.1e9,0,0,0", "duplicate row for state 0 at 3100000000.0 Hz"),
+    ("3.2e9,-1,0,0", "negative state index -1"),
+    ("inf,0,0,0", "non-finite frequency inf"),
+    ("-1e9,0,0,0", "frequencies must be non-negative"),
+])
+def test_empty_lines_among_csv_rows_keep_their_line_numbers(monkeypatch, empty_at, fault,
+                                                            message):
+    # loadtxt skips empty lines, and the rows are numbered from the line lengths
+    # with no _data_lines pass.
+    rows = [f"{3e9 + 1e5 * k:.12g},0,0,0" for k in range(3000)]
+    rows[2400] = fault
+    for i in sorted(empty_at, reverse=True):
+        rows.insert(i, "")
+    text = "freq_hz,state,mag_db,phase_deg\n" + "\n".join(rows) + "\n"
+    line = text.splitlines().index(fault) + 1
+    monkeypatch.setattr(touchstone, "_data_lines", None)  # calling it would raise TypeError
+    with pytest.raises(StateCsvError) as exc:
+        load_state_csv(text)
+    assert str(exc.value) == f"line {line}: {message}"
+
+
 @pytest.mark.parametrize("n_ports", [0, 3])
 def test_a_network_has_1_or_2_ports(n_ports):
     with pytest.raises(InputDataError, match=f"n_ports must be 1 or 2, got {n_ports}"):

@@ -113,6 +113,12 @@ MUTANTS = [
      "GAIN_TOLERANCE = 1e-6", "GAIN_TOLERANCE = 1e-5", ""),
     ("sigma_max divides S by a subnormal scale as complex", "src/risnet/touchstone.py",
      "u = s.real / d + 1j * (s.imag / d)", "u = s / d", ""),
+    ("CLI pin dropped", "src/risnet/cli.py",
+     'if __name__ == "__main__":  # a CLI process', "if False:  # a CLI process", ""),
+    ("CLI pin applied on library import", "src/risnet/cli.py",
+     'if __name__ == "__main__":  # a CLI process', "if True:  # a CLI process", ""),
+    ("CSV rows after an empty line numbered one line early", "src/risnet/touchstone.py",
+     "compress(count(start + 1), lines[start:])", "compress(count(start), lines[start:])", ""),
     ("CLI imports every module at module level", "src/risnet/cli.py",
      "from . import touchstone\n",
      "from . import array, gating, loads, metrics, network, touchstone\n", ""),
